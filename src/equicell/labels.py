@@ -254,53 +254,25 @@ def vertex_coordinates(label: CellLabel) -> Configuration:
     return Configuration(centered)
 
 
-def fox_neuwirth_label(config, d: int | None = None, tie_eps: float = 0.0) -> CellLabel:
+def fox_neuwirth_label(config, d: int | None = None) -> CellLabel:
     """Label of the stratum containing a configuration.
 
-    Columns are compared lexicographically; `sigma` is the resulting order
-    (ties broken by point index, which matches the increasing-run
-    normalization) and each separator is the first coordinate where
-    consecutive columns differ, or d+1 when they coincide.
-
-    Comparisons are exact by default.  A positive `tie_eps` treats coordinate
-    gaps of at most tie_eps as equal; that variant is a heuristic for noisy
-    float data and is not used by any correctness check here (it can be
-    order-dependent when near-ties chain).
+    Columns are compared lexicographically and exactly; `sigma` is the
+    resulting order (ties broken by point index, which matches the
+    increasing-run normalization) and each separator is the first coordinate
+    where consecutive columns differ, or d+1 when they coincide.
     """
-    if isinstance(config, Configuration):
-        cols = config.points
-    else:
-        cols = tuple(tuple(c) for c in config)
-        config = Configuration(cols)
-    n, dd = config.n, config.d
-    if d is not None and d != dd:
-        raise InvalidLabelError("configuration has d = %d, expected %d" % (dd, d))
-    d = dd
-
-    if tie_eps < 0:
-        raise ValueError("tie_eps must be nonnegative")
+    if not isinstance(config, Configuration):
+        config = Configuration(config)
+    if d is not None and d != config.d:
+        raise InvalidLabelError("configuration has d = %d, expected %d" % (config.d, d))
+    cols, n, d = config.points, config.n, config.d
 
     def first_diff(u, v):
-        for i in range(d):
-            gap = u[i] - v[i]
-            if gap > tie_eps or -gap > tie_eps:
-                return i + 1
-        return d + 1
+        return next((i + 1 for i in range(d) if u[i] != v[i]), d + 1)
 
-    def less(u, v):
-        i = first_diff(u, v)
-        if i == d + 1:
-            return False
-        return u[i - 1] < v[i - 1]
-
-    order = list(range(n))
-    # insertion sort with the (possibly eps-relaxed) comparator; stable, so
-    # tied points keep increasing index order
-    for k in range(1, n):
-        j = k
-        while j > 0 and less(cols[order[j]], cols[order[j - 1]]):
-            order[j - 1], order[j] = order[j], order[j - 1]
-            j -= 1
+    # stable, so tied points keep increasing index order
+    order = sorted(range(n), key=lambda i: cols[i])
     sigma = tuple(i + 1 for i in order)
     seps = tuple(first_diff(cols[order[k]], cols[order[k + 1]]) for k in range(n - 1))
     return CellLabel(sigma, seps, d)

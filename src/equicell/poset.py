@@ -227,27 +227,62 @@ def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
     return cond_block(g_lo, g_hi, gt_hi)
 
 
+def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Lower covers of the complement-kind cell (sigma, seps), as (sigma, seps).
+
+    For each j >= 2, every maximal run of gaps whose separators are all >= j
+    is cut at its j-gaps into blocks.  Each proper nonempty subset of the
+    blocks moves, in order, in front of the rest across a new separator j-1;
+    the blocks on either side stay joined by j.  For a facet these are the
+    C(n, i) unshuffles with the lowered separator in gap i.
+    """
+    n = len(sigma)
+    faces = []
+    for j in sorted(set(seps) - {1}):
+        ends = [k + 1 for k in range(n - 1) if seps[k] < j] + [n]
+        for lo, hi in zip([0] + ends, ends):
+            # letters lo..hi-1 span a maximal run of gaps >= j
+            cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if seps[k] == j] + [hi]
+            blocks = [(sigma[a:b], seps[a:b - 1]) for a, b in zip(cuts, cuts[1:])]
+            for mask in range(1, 2 ** len(blocks) - 1):
+                front = [blk for i, blk in enumerate(blocks) if mask >> i & 1]
+                back = [blk for i, blk in enumerate(blocks) if not mask >> i & 1]
+                letters, gaps = sigma[:lo], seps[:lo]
+                for pos, (block_letters, block_gaps) in enumerate(front + back):
+                    if pos:
+                        gaps += (j - 1 if pos == len(front) else j,)
+                    letters += block_letters
+                    gaps += block_gaps
+                faces.append((letters + sigma[hi:], gaps + seps[hi - 1:]))
+    return faces
+
+
 def enumerate_cells(d: int, n: int, kind: str = KIND_COMPLEMENT,
                     budget: int | None = None) -> FacePoset:
     """Build the full graded poset with covering relations.
 
-    Covers are face pairs whose dimensions differ by one; the pairwise face
-    test is evaluated for every such pair (vectorized over governing rows).
+    Cell-kind covers come from `boundary`; stratum-kind covers are the face
+    pairs one dimension apart, found by the vectorized pairwise face test.
     """
     labels = enumerate_labels(d, n, kind, budget=budget)
     dims = tuple(_dimension(lab, kind) for lab in labels)
-    by_dim: dict[int, list[int]] = {}
-    for i, dim in enumerate(dims):
-        by_dim.setdefault(dim, []).append(i)
-    covers: list[tuple[int, int]] = []
-    for k in sorted(by_dim):
-        if k + 1 not in by_dim:
-            continue
-        los = by_dim[k]
-        his = by_dim[k + 1]
-        mat = face_matrix([labels[i] for i in los], [labels[i] for i in his], kind)
-        for ii, jj in zip(*np.nonzero(mat)):
-            covers.append((los[ii], his[jj]))
+    if kind == KIND_COMPLEMENT:
+        index = {(lab.sigma, lab.seps): i for i, lab in enumerate(labels)}
+        covers = [(index[face], hi) for hi, lab in enumerate(labels)
+                  for face in boundary(lab.sigma, lab.seps)]
+    else:
+        covers = []
+        by_dim: dict[int, list[int]] = {}
+        for i, dim in enumerate(dims):
+            by_dim.setdefault(dim, []).append(i)
+        for k in sorted(by_dim):
+            if k + 1 not in by_dim:
+                continue
+            los = by_dim[k]
+            his = by_dim[k + 1]
+            mat = face_matrix([labels[i] for i in los], [labels[i] for i in his], kind)
+            for ii, jj in zip(*np.nonzero(mat)):
+                covers.append((los[ii], his[jj]))
     covers.sort()
     return FacePoset(kind=kind, d=d, n=n, elements=tuple(labels), dims=dims,
                      covers=tuple(covers))

@@ -293,3 +293,13 @@ class TestLabel:
         fixture = write_json(tmp_path / "pts.json",
                              {"points": [[0.0, 0.0], [1.0]]})
         assert run_cli("label", "--input", fixture).returncode == 2
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_points(self, tmp_path, bad):
+        fixture = tmp_path / "pts.json"
+        fixture.write_text('{"points": [[0.0, 0.0], [1.0, %s]]}' % bad)
+        res = run_cli("label", "--input", str(fixture))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1

@@ -11,7 +11,9 @@ from equicell import (CellLabel, RidgeOrbitCochain, binomial_gcd,
                       expected_incidence_row, facet_incidence_vector,
                       is_prime_power, obstruction_report, prime_power,
                       ridge_orbit_index, verify_coboundary_on_complex)
+from equicell import obstruction
 from equicell.obstruction import facet_ridge_class_counts, ridge_cells, top_cells
+from equicell.poset import KIND_COMPLEMENT, face_matrix
 
 
 def carries_adding(a, b, p):
@@ -82,6 +84,31 @@ class TestIncidenceVectors:
             want = expected_incidence_row(n)
             assert counts.shape == (len(top_cells(d, n)), n - 1)
             assert (counts == np.array(want)).all()
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
+    def test_class_counts_match_dense_face_test(self, d, n):
+        ridges = ridge_cells(d, n)
+        inc = face_matrix(ridges, top_cells(d, n), KIND_COMPLEMENT)  # (R, F)
+        classes = np.array([ridge_orbit_index(r) - 1 for r in ridges])
+        dense = np.stack([inc[classes == j].sum(axis=0) for j in range(n - 1)],
+                         axis=1)
+        assert (facet_ridge_class_counts(d, n) == dense).all()
+
+    def test_bad_boundary_rule_shows_as_count_mismatch(self, monkeypatch):
+        real = obstruction.boundary
+
+        def with_non_faces(sigma, seps):
+            # the first face, read backwards, is a ridge but not a face of
+            # the facet; a vertex label is no ridge at all
+            faces = real(sigma, seps)
+            faces[0] = (faces[0][0][::-1], faces[0][1])
+            return faces + [((1, 2, 3, 4), (1, 1, 1))]
+
+        monkeypatch.setattr(obstruction, "boundary", with_non_faces)
+        counts = facet_ridge_class_counts(2, 4)
+        want = expected_incidence_row(4)
+        assert all(tuple(row) != want for row in counts)
+        assert (counts == (3, 6, 4)).all()
 
 
 class TestBinomialGcd:

@@ -14,7 +14,7 @@ from equicell import (BudgetExceededError, CellLabel, FacePoset,
                       f_vector, group_action, is_face_complement,
                       is_face_stratification, poset_from_json, poset_to_json,
                       resolve_budget, validate_covers)
-from equicell.poset import label_count_bound
+from equicell.poset import boundary, face_matrix, label_count_bound
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -188,6 +188,41 @@ class TestPosetStructure:
         assert len(p.elements_of_dim(0)) == 6
         assert len(p.elements_of_dim(1)) == 12
         assert len(p.elements_of_dim(2)) == 6
+
+
+def dense_covers(d, n):
+    """Covers of the cell poset from the dense face test on adjacent layers."""
+    p = enumerate_cells(d, n)
+    covers = []
+    for k in range(max(p.dims)):
+        los, his = p.elements_of_dim(k), p.elements_of_dim(k + 1)
+        mat = face_matrix([p.elements[i] for i in los],
+                          [p.elements[i] for i in his], KIND_COMPLEMENT)
+        covers += [(los[a], his[b]) for a, b in zip(*np.nonzero(mat))]
+    return tuple(sorted(covers))
+
+
+class TestBoundary:
+    def test_hexagon_facet_unshuffles(self):
+        faces = boundary((1, 2, 3), (2, 2))
+        assert sorted(faces) == sorted([
+            ((1, 2, 3), (1, 2)), ((2, 1, 3), (1, 2)), ((3, 1, 2), (1, 2)),
+            ((1, 2, 3), (2, 1)), ((1, 3, 2), (2, 1)), ((2, 3, 1), (2, 1))])
+
+    def test_vertex_has_no_faces(self):
+        assert boundary((2, 1, 3), (1, 1)) == []
+
+    def test_faces_are_lower_covers(self):
+        for lab in enumerate_labels(3, 4):
+            for sigma, seps in boundary(lab.sigma, lab.seps):
+                face = CellLabel(sigma, seps, 3)
+                assert sum(seps) == sum(lab.seps) - 1
+                assert is_face_complement(face, lab)
+
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (2, 4), (2, 5), (3, 3),
+                                     (3, 4), (4, 3), (4, 4)])
+    def test_covers_match_dense_face_test(self, d, n):
+        assert enumerate_cells(d, n).covers == dense_covers(d, n)
 
 
 class TestEquivariance:
