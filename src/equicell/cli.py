@@ -169,10 +169,16 @@ def cmd_equipart(args) -> int:
         polygon = _load_polygon(data)
     except (ValueError, TypeError) as e:
         return _fail("bad polygon: %s" % e, EXIT_INPUT)
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
+    # a flag overrides the input file, which overrides the mode's default
+    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        return _fail("seed must be a non-negative integer", EXIT_INPUT)
+    tol = args.tol if args.tol is not None else data.get(
+        "tol", 1e-10 if mode == "weights" else 1e-6)
+    if type(tol) not in (int, float) or not (isfinite(tol) and tol > 0):
+        return _fail("tol must be a positive finite number", EXIT_INPUT)
 
     if mode == "weights":
-        tol = args.tol if args.tol is not None else float(data.get("tol", 1e-10))
         raw = data.get("sites")
         if not isinstance(raw, list) or not raw:
             return _fail("mode 'weights' needs sites", EXIT_INPUT)
@@ -197,7 +203,6 @@ def cmd_equipart(args) -> int:
             spread = None
         payload = _diagram_payload(diag, spread, iters, converged)
     else:
-        tol = args.tol if args.tol is not None else float(data.get("tol", 1e-6))
         nparts = data.get("n")
         if not isinstance(nparts, int) or nparts < 2:
             return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)

@@ -1,25 +1,33 @@
 """Search for equal-area cells with equal perimeters.
 
 The inner problem (areas) is solved exactly for any site placement, so the
-outer search only has to steer the n sites until the perimeter spread
-max - min vanishes.  Site translations are a gauge freedom (shifting all
-sites moves no wall once the weights re-solve), so the sites are centered:
-the first n-1 are free parameters and the last is pinned by requiring the
-site mean to sit on the polygon centroid.  The spread is piecewise smooth
-but kinked, hence a derivative-free simplex search, restarted with a
-shrinking initial simplex, from a deterministic bank of starts: equal-area
-slab centroids along both axes, grid splits for composite n, a centered
-ring, and seeded random draws.  The best configuration wins; ties keep the
-earliest start.
+outer search only has to steer the n sites until the perimeter residual
+r = perimeters - mean(perimeters) vanishes.  That is a Gauss-Newton solve in
+all 2n site coordinates.  The equal-area diagram does not change when the
+sites are translated or scaled about any point, so J vanishes on those three
+moves: it is differenced forward only along an orthonormal basis of the
+2n - 3 moves orthogonal to them, each column one weight solve warm-started
+at the current weights, and the step is the min-norm least-squares solution
+of J s = r in that basis.  No site is pinned, and no step moves along the
+gauge.  A step is halved until |r| drops; when even a sixteenth of it
+does not, the linear model is poor there (a fold of the perimeter map, or a
+long crawl) and the search restarts from the next seeded random draw of
+sites.  The draws are isotropic Gaussian clouds about the centroid: by the
+gauge only the shape of a cloud matters, and clouds stretched like the
+polygon (uniform draws inside it) mostly put the walls across its long
+axis, which on elongated polygons leads nearly every start into the same
+fold.  Sites may leave the polygon during the iteration, and many solutions
+have sites outside it.  The best configuration wins; ties keep the earliest
+start.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .geometry import ConvexPolygon, clip_halfplane
+from .geometry import ConvexPolygon
 from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread, power_diagram
 from .weights import WeightSolveError, solve_equal_measure_weights
 
@@ -35,192 +43,104 @@ class EqualizeResult:
     start_index: int
 
 
-class _SearchDone(Exception):
-    pass
+def _random_sites(polygon: ConvexPolygon, n: int, rng, diam: float) -> np.ndarray:
+    # a small cloud keeps most sites inside, where the unweighted diagram
+    # that the weight solve starts from has no empty cell
+    return np.array(polygon.centroid) + 0.05 * diam * rng.standard_normal((n, 2))
 
 
-def _axis_cut(polygon: ConvexPolygon, axis: int, want_area: float) -> float:
-    # coordinate t with area(polygon cut at axis <= t) = want_area, by bisection
-    bb = polygon.bbox
-    lo, hi = bb[axis], bb[axis + 2]
-    a = (1.0, 0.0) if axis == 0 else (0.0, 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        piece = clip_halfplane(polygon, a, mid)
-        got = piece.area if piece is not None else 0.0
-        if got < want_area:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _slab(polygon: ConvexPolygon, axis: int, t0: float | None,
-          t1: float | None) -> ConvexPolygon | None:
-    piece = polygon
-    a = (1.0, 0.0) if axis == 0 else (0.0, 1.0)
-    neg = (-1.0, 0.0) if axis == 0 else (0.0, -1.0)
-    if t1 is not None and piece is not None:
-        piece = clip_halfplane(piece, a, t1)
-    if t0 is not None and piece is not None:
-        piece = clip_halfplane(piece, neg, -t0)
-    return piece
-
-
-def _slab_centroids(polygon: ConvexPolygon, n: int, axis: int) -> np.ndarray | None:
-    A = polygon.area
-    cuts = [None] + [_axis_cut(polygon, axis, A * k / n) for k in range(1, n)] + [None]
-    out = []
-    for k in range(n):
-        piece = _slab(polygon, axis, cuts[k], cuts[k + 1])
-        if piece is None:
-            return None
-        out.append(piece.centroid)
-    return np.array(out)
-
-
-def _grid_sites(polygon: ConvexPolygon, rows: int, cols: int) -> np.ndarray | None:
-    A = polygon.area
-    cuts = [None] + [_axis_cut(polygon, 1, A * k / rows) for k in range(1, rows)] + [None]
-    out = []
-    for k in range(rows):
-        band = _slab(polygon, 1, cuts[k], cuts[k + 1])
-        if band is None:
-            return None
-        centers = _slab_centroids(band, cols, axis=0)
-        if centers is None:
-            return None
-        out.extend(centers)
-    return np.array(out)
-
-
-def _ring_sites(polygon: ConvexPolygon, n: int) -> np.ndarray:
-    cx, cy = polygon.centroid
-    rho = 0.5 * (polygon.area / np.pi) ** 0.5
-    out = []
-    for k in range(n):
-        ang = 0.4 + 2.0 * np.pi * k / n
-        p = np.array([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
-        for _ in range(40):
-            if polygon.contains(p):
-                break
-            p = 0.5 * (p + np.array([cx, cy]))
-        out.append(p)
-    return np.array(out)
-
-
-def _random_sites(polygon: ConvexPolygon, n: int, rng) -> np.ndarray:
-    x0, y0, x1, y1 = polygon.bbox
-    out = []
-    while len(out) < n:
-        p = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if polygon.contains(p):
-            out.append(p)
-    return np.array(out)
-
-
-def _start_bank(polygon: ConvexPolygon, n: int, seed: int, random_starts: int):
-    starts = []
-    for axis in (0, 1):
-        s = _slab_centroids(polygon, n, axis)
-        if s is not None:
-            starts.append(s)
-    for r in range(2, n):
-        if n % r == 0:
-            g = _grid_sites(polygon, r, n // r)
-            if g is not None:
-                starts.append(g)
-    starts.append(_ring_sites(polygon, n))
-    rng = np.random.default_rng(seed)
-    for _ in range(random_starts):
-        starts.append(_random_sites(polygon, n, rng))
-    return starts
+def _gauge_complement(x: np.ndarray) -> np.ndarray:
+    # orthonormal columns spanning the site moves (flattened) that are
+    # orthogonal to translating the sites and scaling them about their mean
+    n = len(x)
+    gauge = np.column_stack([np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n),
+                             (x - x.mean(axis=0)).ravel()])
+    return np.linalg.qr(gauge, mode="complete")[0][:, 3:]
 
 
 def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
-                        seed: int = 0, inner_tol: float = 1e-11,
-                        max_evals: int = 40000, random_starts: int = 6,
-                        nm_restarts: int = 4) -> EqualizeResult:
+                        seed: int = 0, max_evals: int = 40000) -> EqualizeResult:
     """Equal-area decomposition with perimeter spread at most tol, if found.
 
-    Deterministic for fixed arguments.  When no configuration reaches tol
-    within the evaluation budget the best one found is returned with
-    converged = False.
+    Deterministic for fixed arguments.  max_evals bounds the weight solves of
+    the search, and one more polishes the result; evaluations counts them
+    all.  When no configuration reaches tol within the budget, the best one
+    found is returned with converged = False.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    centroid = np.array(polygon.centroid)
     bb = polygon.bbox
     diam = ((bb[2] - bb[0]) ** 2 + (bb[3] - bb[1]) ** 2) ** 0.5
-    dmin_floor = 1e-7 * diam
+    h = 1e-7 * diam
     stop_at = 0.25 * tol
-    dim = 2 * (n - 1)
+    rng = np.random.default_rng(seed)
+    evals = 0
+    best = (np.inf, None, None, 0)   # (spread, sites, weights, start index)
 
-    state = {"best": None, "evals": 0}
-
-    def sites_from(theta):
-        first = theta.reshape(n - 1, 2)
-        last = n * centroid - first.sum(axis=0)
-        return np.vstack([first, last[None, :]])
-
-    def make_objective(start_index):
-        def objective(theta):
-            if state["evals"] >= max_evals:
-                raise _SearchDone()
-            state["evals"] += 1
-            sxy = sites_from(np.asarray(theta, dtype=float))
-            diff = sxy[:, None, :] - sxy[None, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=2))
-            np.fill_diagonal(dist, np.inf)
-            dmin = float(dist.min())
-            if dmin < dmin_floor:
-                val = 1e3 * (2.0 - dmin / dmin_floor)
-            else:
-                try:
-                    sts = Sites(tuple(map(tuple, sxy)))
-                    wts = solve_equal_measure_weights(polygon, sts, tol=inner_tol,
-                                                      max_iter=400)
-                    val = perimeter_spread(power_diagram(polygon, sts, wts))
-                except (WeightSolveError, ValueError):
-                    val = 300.0
-            if state["best"] is None or val < state["best"][0]:
-                state["best"] = (val, np.array(theta, dtype=float), start_index)
-            if val <= stop_at:
-                raise _SearchDone()
-            return val
-        return objective
-
-    for si, sites0 in enumerate(_start_bank(polygon, n, seed, random_starts)):
-        theta = sites0[:n - 1].reshape(-1).astype(float)
-        objective = make_objective(si)
+    def evaluate(x, w0):
+        # (perimeters - mean, weights) at sites x; None when the budget is
+        # spent, the sites coincide, the weight solve fails or a cell is empty
+        nonlocal evals
+        if evals >= max_evals:
+            return None
+        evals += 1
         try:
-            objective(theta)
-            h = 0.10 * diam
-            for _ in range(nm_restarts):
-                simplex = np.vstack([theta[None, :],
-                                     theta[None, :] + h * np.eye(dim)])
-                res = minimize(objective, theta, method="Nelder-Mead",
-                               options={"initial_simplex": simplex,
-                                        "xatol": 1e-10 * diam, "fatol": 1e-12,
-                                        "maxfev": 3000, "maxiter": 6000})
-                theta = np.asarray(res.x, dtype=float)
-                h *= 0.25
-        except _SearchDone:
-            pass
-        if state["best"] is not None and state["best"][0] <= stop_at:
-            break
-        if state["evals"] >= max_evals:
-            break
+            sts = Sites(tuple(map(tuple, x)))
+            wts, stats = solve_equal_measure_weights(polygon, sts, tol=1e-11,
+                                                     max_iter=400, w0=w0,
+                                                     return_stats=True)
+        except (WeightSolveError, ValueError):
+            return None
+        diag = stats["diagram"]
+        if any(c is None for c in diag.cells):
+            return None
+        p = np.array(diag.perimeters)
+        return p - p.mean(), wts.values
 
-    if state["best"] is None:
+    def gauss_newton_step(x, r, w):
+        # sites after a backtracked min-norm step and their evaluation, which
+        # is None when a Jacobian column or every trial step fails
+        Q = _gauge_complement(x)
+        J = np.empty((n, Q.shape[1]))
+        for k in range(Q.shape[1]):
+            col = evaluate(x + h * Q[:, k].reshape(n, 2), w)
+            if col is None:
+                return x, None
+            J[:, k] = (col[0] - r) / h
+        # r sums to zero, so its last row only adds rounding, which the
+        # least-squares solve would amplify into a spurious step
+        step = (Q @ np.linalg.lstsq(J[:-1], r[:-1], rcond=None)[0]).reshape(n, 2)
+        norm = np.linalg.norm(r)
+        t = 1.0
+        while t >= 1.0 / 16.0:
+            trial = evaluate(x - t * step, w)
+            if trial is not None and np.linalg.norm(trial[0]) <= (1.0 - 0.1 * t) * norm:
+                return x - t * step, trial
+            t *= 0.5
+        return x, None
+
+    for start in count():
+        if evals >= max_evals or best[0] <= stop_at:
+            break
+        x = _random_sites(polygon, n, rng, diam)
+        got = evaluate(x, None)
+        while got is not None:
+            r, w = got
+            spread = float(r.max() - r.min())
+            if spread < best[0]:
+                best = (spread, x, w, start)
+            if spread <= stop_at:
+                break
+            x, got = gauss_newton_step(x, r, w)
+
+    if best[1] is None:
         raise RuntimeError("search made no evaluations")
-    _, theta, si = state["best"]
-    sxy = sites_from(theta)
-    sts = Sites(tuple(map(tuple, sxy)))
-    wts = solve_equal_measure_weights(polygon, sts, tol=min(inner_tol, 1e-12),
-                                      max_iter=3000)
+    _, x, w, start = best
+    sts = Sites(tuple(map(tuple, x)))
+    wts = solve_equal_measure_weights(polygon, sts, tol=1e-12, max_iter=3000, w0=w)
+    evals += 1
     diag = power_diagram(polygon, sts, wts)
     spread = perimeter_spread(diag)
     return EqualizeResult(sites=sts, weights=wts, diagram=diag, spread=spread,
-                          converged=spread <= tol, evaluations=state["evals"],
-                          start_index=si)
+                          converged=spread <= tol, evaluations=evals,
+                          start_index=start)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 AREA_EPS = 1e-15    # clip results with less area than this count as empty
 MERGE_EPS = 1e-12   # consecutive vertices closer than this are merged
@@ -71,6 +72,8 @@ class ConvexPolygon:
 
     def __post_init__(self):
         pts = [(float(x), float(y)) for x, y in self.vertices]
+        if not all(isfinite(x) and isfinite(y) for x, y in pts):
+            raise ValueError("vertices must be finite")
         pts = _merge_close(pts)
         if len(pts) < 3:
             raise ValueError("need at least 3 distinct vertices")
@@ -159,12 +162,3 @@ def clip_tagged(pts, tags, a, c, new_tag):
         return [], []
     return out_p, out_t
 
-
-def clip_halfplane(poly: ConvexPolygon, a, c) -> ConvexPolygon | None:
-    """Intersection of poly with {x : a . x <= c}; None when (nearly) empty."""
-    pts = list(poly.vertices)
-    tags = [0] * len(pts)
-    out, _ = clip_tagged(pts, tags, a, c, 1)
-    if not out:
-        return None
-    return ConvexPolygon(tuple(out))

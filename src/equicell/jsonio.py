@@ -14,16 +14,17 @@ def format_real(x: float) -> str:
 
 
 def _encode(obj, indent: int, level: int) -> str:
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        return format_real(obj)
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return format_real(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -40,6 +41,11 @@ def _encode(obj, indent: int, level: int) -> str:
                 raise TypeError("JSON keys must be strings, got %r" % (k,))
             items.append(inner + json.dumps(k) + ": " + _encode(v, indent, level + 1))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    # numpy scalars and other registered numbers
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return format_real(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
 

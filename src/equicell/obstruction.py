@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, factorial, gcd
+from math import comb, factorial, isqrt
 
 import numpy as np
 
@@ -80,18 +80,22 @@ def facet_incidence_vector(facet: CellLabel, poset: FacePoset) -> tuple[int, ...
 
 
 def binomial_gcd(n: int) -> int:
-    """gcd of the middle binomial row C(n,1), ..., C(n,n-1)."""
+    """gcd of the middle binomial row C(n,1), ..., C(n,n-1).
+
+    By Kummer's theorem C(n, q**v) is prime to q when q**v is the exact power
+    of a prime q dividing n and n != q**v.  So the gcd, a divisor of
+    C(n, 1) = n, is 1 unless n is a power of a prime p; then it is p raised
+    to the least valuation in the row, which C(n, n/p) attains.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    g = 0
-    c = 1
-    # row is symmetric, so the first half carries the full gcd
-    for j in range(1, n // 2 + 1):
-        c = c * (n - j + 1) // j
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    p = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)
+    m = n
+    while m % p == 0:
+        m //= p
+    if m != 1:
+        return 1
+    return p ** binomial_valuation(n, n // p, p)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -9,6 +9,7 @@ a constant leaves every cell unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .geometry import ConvexPolygon, clip_tagged, polygon_area, polygon_perimeter
 
@@ -24,6 +25,8 @@ class Sites:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("need at least one site")
+        if not all(isfinite(x) and isfinite(y) for x, y in pts):
+            raise ValueError("sites must be finite")
         m = len(pts)
         for i in range(m):
             for j in range(i + 1, m):

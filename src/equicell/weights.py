@@ -56,13 +56,18 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     tol bounds the infinity norm of the normalized area residual.  w0 seeds
     the iteration (any float vector; it is recentered); the maximizer itself
     is unique once centered, so different seeds land on the same answer.
-    Raises WeightSolveError when the iteration cap is hit.
+    Raises WeightSolveError when the iteration cap is hit.  return_stats
+    adds a dict with the iteration count, the final residual and the
+    diagram at the final weights, so callers need not build it again.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
     if n == 1:
         w = Weights((0.0,))
-        return (w, {"iterations": 0, "residual": 0.0}) if return_stats else w
+        if return_stats:
+            return w, {"iterations": 0, "residual": 0.0,
+                       "diagram": power_diagram(polygon, sts, w)}
+        return w
 
     A = polygon.area
     target = 1.0 / n
@@ -173,5 +178,5 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
 
     weights = Weights.normalized(w)
     if return_stats:
-        return weights, {"iterations": iters, "residual": rn}
+        return weights, {"iterations": iters, "residual": rn, "diagram": diag}
     return weights

@@ -247,6 +247,35 @@ class TestEquipart:
                               "sites": [[0.5, 0.5], [0.5, 0.5]]})
         assert run_cli("equipart", "--input", fixture).returncode == 2
 
+    def assert_input_error(self, tmp_path, text):
+        fixture = tmp_path / "in.json"
+        fixture.write_text(text)
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", str(fixture), "--output", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_nan_polygon_vertex_rejected(self, tmp_path):
+        self.assert_input_error(
+            tmp_path, '{"mode": "equalize", "n": 2, "polygon": '
+                      '[[0, 0], [1, 0], [1, NaN], [0, 1]]}')
+
+    def test_non_finite_site_rejected(self, tmp_path):
+        self.assert_input_error(
+            tmp_path, '{"mode": "weights", "polygon": %s, '
+                      '"sites": [[0.25, 0.5], [Infinity, 0.5]]}' % json.dumps(SQUARE))
+
+    def test_non_numeric_tol_rejected(self, tmp_path):
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": SQUARE,
+             "sites": [[0.25, 0.5], [0.6, 0.5]], "tol": "tight"}))
+
+    def test_non_numeric_seed_rejected(self, tmp_path):
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "equalize", "polygon": SQUARE, "n": 2, "seed": "one"}))
+
     def test_nonconvergence_writes_best_and_fails(self, tmp_path):
         fixture = write_json(
             tmp_path / "in.json",

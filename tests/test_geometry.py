@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import support
-from equicell import ConvexPolygon, clip_halfplane
-from equicell.geometry import polygon_area, polygon_perimeter
+from equicell import ConvexPolygon
+from equicell.geometry import clip_tagged, polygon_area, polygon_perimeter
 
 SQUARE = support.UNIT_SQUARE
 
@@ -35,6 +35,11 @@ class TestConvexPolygon:
             ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (2.0, 2.0),
                            (0.0, 2.0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, bad), (0.0, 1.0)))
+
     def test_duplicate_vertices_merged(self):
         poly = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0 + 1e-15),
                               (1.0, 1.0), (0.0, 1.0)))
@@ -61,30 +66,37 @@ class TestConvexPolygon:
                                                          abs=1e-15)
 
 
+def clip(poly, a, c):
+    """Vertices of poly clipped to a . x <= c by clip_tagged; [] when empty."""
+    pts, _ = clip_tagged(list(poly.vertices), [0] * len(poly.vertices), a, c, 1)
+    return pts
+
+
 class TestClipHalfplane:
     def test_left_half(self):
-        half = clip_halfplane(SQUARE, (1.0, 0.0), 0.5)
-        assert half is not None
-        assert half.area == pytest.approx(0.5, abs=1e-14)
+        half = clip(SQUARE, (1.0, 0.0), 0.5)
+        assert half != []
+        assert polygon_area(half) == pytest.approx(0.5, abs=1e-14)
         assert support.vertex_set_close(
-            half, ConvexPolygon(((0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (0.0, 1.0))),
+            ConvexPolygon(tuple(half)),
+            ConvexPolygon(((0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (0.0, 1.0))),
             1e-12)
 
     def test_no_cut(self):
-        same = clip_halfplane(SQUARE, (1.0, 0.0), 2.0)
-        assert same is not None
-        assert support.vertex_set_close(same, SQUARE, 1e-12)
+        same = clip(SQUARE, (1.0, 0.0), 2.0)
+        assert same != []
+        assert support.vertex_set_close(ConvexPolygon(tuple(same)), SQUARE, 1e-12)
 
     def test_everything_cut(self):
-        assert clip_halfplane(SQUARE, (1.0, 0.0), -1.0) is None
+        assert clip(SQUARE, (1.0, 0.0), -1.0) == []
 
     def test_cut_through_vertex(self):
-        tri = clip_halfplane(SQUARE, (1.0, 1.0), 1.0)
-        assert tri is not None
-        assert tri.area == pytest.approx(0.5, abs=1e-12)
+        tri = clip(SQUARE, (1.0, 1.0), 1.0)
+        assert tri != []
+        assert polygon_area(tri) == pytest.approx(0.5, abs=1e-12)
 
     def test_sliver_reported_empty(self):
-        assert clip_halfplane(SQUARE, (1.0, 0.0), 1e-16) is None
+        assert clip(SQUARE, (1.0, 0.0), 1e-16) == []
 
     def test_composition(self):
         rng = np.random.default_rng(41)
@@ -94,17 +106,18 @@ class TestClipHalfplane:
             a = (np.cos(theta), np.sin(theta))
             cx, cy = poly.centroid
             c = a[0] * cx + a[1] * cy + rng.uniform(-0.2, 0.2)
-            cut = clip_halfplane(poly, a, c)
-            if cut is None:
+            pts = clip(poly, a, c)
+            if pts == []:
                 continue
+            cut = ConvexPolygon(tuple(pts))
             assert cut.area <= poly.area + 1e-12
             for v in cut.vertices:
                 assert a[0] * v[0] + a[1] * v[1] <= c + 1e-9
                 assert poly.contains(v, eps=1e-9)
             # cutting again with the same half-plane changes nothing
-            again = clip_halfplane(cut, a, c)
-            assert again is not None
-            assert again.area == pytest.approx(cut.area, rel=1e-12)
+            again = clip(cut, a, c)
+            assert again != []
+            assert polygon_area(again) == pytest.approx(cut.area, rel=1e-12)
 
     def test_area_additivity(self):
         rng = np.random.default_rng(43)
@@ -114,7 +127,7 @@ class TestClipHalfplane:
             a = (np.cos(theta), np.sin(theta))
             cx, cy = poly.centroid
             c = a[0] * cx + a[1] * cy
-            lo = clip_halfplane(poly, a, c)
-            hi = clip_halfplane(poly, (-a[0], -a[1]), -c)
-            total = (lo.area if lo else 0.0) + (hi.area if hi else 0.0)
+            lo = clip(poly, a, c)
+            hi = clip(poly, (-a[0], -a[1]), -c)
+            total = polygon_area(lo) + polygon_area(hi)
             assert total == pytest.approx(poly.area, rel=1e-12)

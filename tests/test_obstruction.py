@@ -1,6 +1,7 @@
 """Tests for ridge orbits, incidence vectors, the binomial gcd criterion,
 witness cochains, and coboundary evaluation on the complex."""
 
+import time
 from math import comb
 
 import numpy as np
@@ -128,6 +129,17 @@ class TestBinomialGcd:
             for j in range(1, n):
                 direct = gcd(direct, comb(n, j))
             assert binomial_gcd(n) == direct
+
+    def test_matches_direct_gcd_up_to_three_hundred(self):
+        from math import gcd
+        for n in range(2, 301):
+            assert binomial_gcd(n) == gcd(*(comb(n, j) for j in range(1, n)))
+
+    def test_huge_prime_power_is_immediate(self):
+        # walking the half row would take about 2**39 big-integer steps
+        t0 = time.perf_counter()
+        assert binomial_gcd(2 ** 40) == 2
+        assert time.perf_counter() - t0 < 1.0
 
     def test_classification_up_to_ten_thousand(self):
         # gcd is p exactly when n is a power of p, 1 otherwise

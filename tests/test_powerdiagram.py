@@ -17,6 +17,11 @@ class TestSitesWeights:
             Sites(((0.3, 0.3), (0.3, 0.3)))
         Sites(((0.3, 0.3), (0.4, 0.3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_site_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Sites(((0.3, 0.3), (bad, 0.3)))
+
     def test_weights_sum_zero_required(self):
         with pytest.raises(ValueError):
             Weights((0.5, 0.2))

@@ -194,3 +194,10 @@ class TestSolve:
         assert stats["iterations"] >= 1
         assert stats["residual"] <= 1e-10
         assert w.values[0] == pytest.approx(0.02625, abs=1e-8)
+
+    def test_stats_diagram_is_the_solved_diagram(self):
+        sites = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8))
+        w, stats = solve_equal_measure_weights(SQUARE, sites, return_stats=True)
+        pd = power_diagram(SQUARE, sites, w)
+        assert stats["diagram"].areas == pytest.approx(pd.areas, abs=1e-12)
+        assert stats["diagram"].perimeters == pytest.approx(pd.perimeters, abs=1e-12)
