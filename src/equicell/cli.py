@@ -4,14 +4,17 @@ Subcommands: complex (enumerate a cell or stratum poset and validate its
 counts), obstruction (run the map-existence decision), equipart (equal-area /
 equal-perimeter decompositions of a convex polygon), label (classify a point
 configuration).  Exit codes: 0 success, 1 failed internal check or
-non-convergence, 2 malformed input or enumeration budget exceeded.  Outputs
-are written only after all computation succeeds, so a nonzero exit never
-leaves a partial file, and identical invocations produce identical bytes.
+non-convergence, 2 malformed input, enumeration budget exceeded or an output
+file that cannot be written.  Outputs are written only after all computation
+succeeds, each through a temporary file in the target directory that is then
+renamed over the target, so no run leaves a partial file, and identical
+invocations produce identical bytes.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial, isfinite
 from pathlib import Path
@@ -38,11 +41,34 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+class OutputError(Exception):
+    """An output file could not be written."""
+
+
 def _emit(text: str, path: str | None):
+    """Write text to stdout or to path.  A file is written whole or not at
+    all: through a temp file beside it, renamed over it (through a symlink,
+    the file it names).  A device or pipe, such as /dev/stdout, is written
+    directly."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    target = Path(path)
+    tmp = None
+    try:
+        if target.exists() and not target.is_file():
+            with open(target, "w") as f:
+                f.write(text)
+            return
+        target = target.resolve()
+        tmp = target.with_name(".%s.%d.tmp" % (target.name, os.getpid()))
+        with open(tmp, "x") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except OSError as e:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+        raise OutputError("cannot write %s: %s" % (path, e.strerror or e)) from None
 
 
 def cmd_complex(args) -> int:
@@ -215,7 +241,7 @@ def cmd_equipart(args) -> int:
     text = jsonio.dumps(payload) if args.format == "json" else _payload_csv(payload)
     _emit(text, args.output)
     if args.svg is not None:
-        Path(args.svg).write_text(render_power_diagram_svg(diag))
+        _emit(render_power_diagram_svg(diag), args.svg)
     return EXIT_OK if converged else EXIT_CHECK
 
 
@@ -291,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as e:
+        return _fail(str(e), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -135,15 +135,21 @@ def clip_tagged(pts, tags, a, c, new_tag):
     """Clip a tagged convex polygon to the half-plane a . x <= c.
 
     tags[i] labels the edge leaving pts[i]; cut edges get new_tag.  Returns
-    (pts, tags), possibly empty.
+    (pts, tags), possibly empty.  pts must be merged and non-degenerate, as
+    ConvexPolygon vertices and earlier results are: no vertex within
+    MERGE_EPS of its predecessor and area at least AREA_EPS.  A half-plane
+    that holds every vertex then returns the inputs themselves, which is what
+    rebuilding, merging and re-measuring them would give.
     """
     ax, ay = a
     m = len(pts)
     if m == 0:
         return [], []
+    sides = [ax * p[0] + ay * p[1] - c for p in pts]
+    if max(sides) <= 0.0:
+        return pts, tags
     scale = abs(ax) + abs(ay)
     out_p, out_t = [], []
-    sides = [ax * p[0] + ay * p[1] - c for p in pts]
     for i in range(m):
         p, sp, tp = pts[i], sides[i], tags[i]
         q, sq = pts[(i + 1) % m], sides[(i + 1) % m]

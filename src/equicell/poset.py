@@ -39,15 +39,20 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+    """The label budget: the argument, else EQUICELL_BUDGET, else the default.
+    A negative budget is a ValueError."""
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError("bad %s value %r" % (BUDGET_ENV, env)) from None
-    return DEFAULT_BUDGET
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError("budget must be non-negative, got %d" % budget)
+    return budget
 
 
 def label_count_bound(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:

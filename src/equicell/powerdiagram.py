@@ -3,15 +3,43 @@
 Cell i collects the points x with |x - x_i|^2 - w_i minimal.  Against site j
 that is the half-plane 2 (x_j - x_i) . x <= |x_j|^2 - |x_i|^2 - w_j + w_i, so
 each cell is an intersection of half-planes with the polygon and is computed
-by iterated clipping.  Only weight differences matter; shifting all weights by
-a constant leaves every cell unchanged.
+by iterated clipping against j = 0, ..., n-1 in turn.  Only weight
+differences matter; shifting all weights by a constant leaves every cell
+unchanged.
+
+Most of those clips leave the cell as it is, and the build skips the ones
+that provably do.  Write d = |x_j - x_i| and let R bound the distance from x_i
+to every vertex of the current cell.  A vertex x_i + u has the side value
+2 (x_j - x_i) . u - d^2 + w_j - w_i <= d (2R - d) + w_j - w_i against site j,
+so when d (d - 2R) exceeds w_j - w_i every vertex is inside, and clipping
+returns the cell unchanged (clip_tagged returns its input when every side
+value is <= 0).  The skip demands a margin of 1e-9 (d^2 + |x_i|^2 + |x_j|^2 +
+|w_i| + |w_j|).  When it passes, 2 d R is below d^2 + |w_i| + |w_j|, so each
+term of a side value is bounded by that sum and its rounding is below 2e-15
+times it: a skipped clip is one whose computed side values would all have
+been <= 0, and cells, areas, perimeters and interfaces are exactly those of
+clipping against every site.  R is measured from the current vertices, so
+this holds however the cell was cut.  Per site the test is R < (d^2 -
+(w_j - w_i) - margin) / (2 d), a threshold computed with numpy for a block
+of sites at a time; R is re-measured only when a clip changed the cell.  The clips that
+remain are the neighbours plus the sites still within reach of the cell as
+it shrinks: at n = 300 about 42 (no weights) to 60 (equal-area weights) of
+299 per cell.  The test still visits every pair, so a build stays O(n^2),
+with a small constant.  Below SKIP_FROM sites the thresholds cost more than
+the clips they save, and every cell is clipped against every other site.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import dist, inf, isfinite
+
+import numpy as np
 
 from .geometry import ConvexPolygon, clip_tagged, polygon_area, polygon_perimeter
+
+SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
+SKIP_FROM = 32       # fewer sites: thresholds cost more than the clips they skip
+_BLOCK = 32          # sites per numpy block of skip thresholds
 
 
 @dataclass(frozen=True)
@@ -92,6 +120,34 @@ def _as_site_tuple(sites) -> Sites:
     return Sites(tuple(sites))
 
 
+def _reach_rows(pts, wvals):
+    """Yield per site i the list of thresholds t_j: site j cannot change a
+    cell whose vertices all lie within R < t_j of x_i.  t_i is +inf, so a
+    site is never clipped against itself; a NaN threshold never skips.
+    Below SKIP_FROM sites every other threshold is -inf."""
+    m = len(pts)
+    if m < SKIP_FROM:
+        for i in range(m):
+            row = [-inf] * m
+            row[i] = inf
+            yield row
+        return
+    xy = np.array(pts)
+    x, y = xy[:, 0], xy[:, 1]
+    w = np.array(wvals)
+    own = x * x + y * y + np.abs(w)
+    for lo in range(0, m, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        bx, by = x[blk, None], y[blk, None]
+        with np.errstate(all="ignore"):
+            d2 = (x - bx) ** 2 + (y - by) ** 2
+            margin = SKIP_MARGIN * (d2 + own[blk, None] + own)
+            num = d2 - (w - w[blk, None]) - margin
+            den = 2.0 * np.sqrt(d2)
+            reach = np.divide(num, den, out=np.full(num.shape, inf), where=den > 0.0)
+        yield from reach.tolist()
+
+
 def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     """Decompose the polygon by weighted nearest site.
 
@@ -117,17 +173,28 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     areas = []
     perims = []
     interfaces = []
+    rows = _reach_rows(pts, wvals)
+    track = m >= SKIP_FROM  # else r stays 0: only the own threshold skips
     for i in range(m):
-        xi, yi = pts[i]
+        site = pts[i]
+        xi, yi = site
         qi = xi * xi + yi * yi
+        reach = next(rows)
         cpts, ctags = base_pts, base_tags
+        r = max(dist(p, site) for p in cpts) if track else 0.0
         for j in range(m):
-            if j == i or not cpts:
+            if r < reach[j]:
                 continue
             xj, yj = pts[j]
             a = (2.0 * (xj - xi), 2.0 * (yj - yi))
             c = xj * xj + yj * yj - qi - wvals[j] + wvals[i]
-            cpts, ctags = clip_tagged(cpts, ctags, a, c, j)
+            npts, ctags = clip_tagged(cpts, ctags, a, c, j)
+            if npts is not cpts:
+                cpts = npts
+                if not cpts:
+                    break
+                if track:
+                    r = max(dist(p, site) for p in cpts)
         if not cpts:
             cells.append(None)
             areas.append(0.0)

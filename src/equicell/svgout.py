@@ -13,8 +13,11 @@ def _fmt(v: float) -> str:
 
 
 def render_power_diagram_svg(diagram: PowerDiagram, width: float = 640.0) -> str:
-    """Fixed-format SVG text; identical diagrams give identical bytes."""
-    x0, y0, x1, y1 = diagram.polygon.bbox
+    """Fixed-format SVG text; identical diagrams give identical bytes.  The
+    canvas spans the polygon and every site, with a 4% margin."""
+    shown = diagram.polygon.vertices + diagram.sites.points
+    x0, y0 = min(p[0] for p in shown), min(p[1] for p in shown)
+    x1, y1 = max(p[0] for p in shown), max(p[1] for p in shown)
     pad = 0.04 * max(x1 - x0, y1 - y0)
     sx = width / (x1 - x0 + 2.0 * pad)
     height = (y1 - y0 + 2.0 * pad) * sx

@@ -1,12 +1,16 @@
 """Shared helpers for the test suite: poset property checks, random convex
-polygon generation, and rigid-motion utilities."""
+polygon generation, rigid-motion utilities, and the all-pairs power diagram
+that the clip-skipping build must reproduce bit for bit."""
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from equicell import (ConvexPolygon, KIND_COMPLEMENT, is_face_complement,
-                      is_face_stratification)
+from equicell import (ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
+                      is_face_complement, is_face_stratification)
+from equicell.geometry import (AREA_EPS, _merge_close, polygon_area,
+                               polygon_perimeter)
 from equicell.poset import face_matrix
+from equicell.powerdiagram import _as_site_tuple
 
 
 def order_matrix(poset):
@@ -150,3 +154,89 @@ def vertex_set_close(poly_a, poly_b, tol):
 
 UNIT_SQUARE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 UNIT_TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3.0) / 2)))
+
+
+def clip_every_time(pts, tags, a, c, new_tag):
+    """clip_tagged without its shortcut for a half-plane holding every vertex:
+    the result is always rebuilt, merged and re-measured."""
+    ax, ay = a
+    m = len(pts)
+    if m == 0:
+        return [], []
+    scale = abs(ax) + abs(ay)
+    out_p, out_t = [], []
+    sides = [ax * p[0] + ay * p[1] - c for p in pts]
+    for i in range(m):
+        p, sp, tp = pts[i], sides[i], tags[i]
+        q, sq = pts[(i + 1) % m], sides[(i + 1) % m]
+        eps = 1e-13 * scale * (1.0 + abs(p[0]) + abs(p[1]) + abs(q[0]) + abs(q[1]))
+        p_in, q_in = sp <= eps, sq <= eps
+        if p_in:
+            out_p.append(p)
+            out_t.append(tp)
+        if p_in != q_in:
+            t = sp / (sp - sq)
+            ip = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            out_p.append(ip)
+            out_t.append(new_tag if p_in else tp)
+    out_p, out_t = _merge_close(out_p, out_t)
+    if len(out_p) < 3 or polygon_area(out_p) < AREA_EPS:
+        return [], []
+    return out_p, out_t
+
+
+def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
+    """Reference build: every cell clipped by clip_every_time against all
+    other sites in index order, skipping none."""
+    sts = _as_site_tuple(sites)
+    pts = sts.points
+    m = len(pts)
+    if weights is None:
+        wvals = (0.0,) * m
+    elif isinstance(weights, Weights):
+        wvals = weights.values
+    else:
+        wvals = tuple(float(v) for v in weights)
+    if len(wvals) != m:
+        raise ValueError("need one weight per site")
+
+    base_pts = list(polygon.vertices)
+    base_tags = [-(e + 1) for e in range(len(base_pts))]
+
+    cells = []
+    areas = []
+    perims = []
+    interfaces = []
+    for i in range(m):
+        xi, yi = pts[i]
+        qi = xi * xi + yi * yi
+        cpts, ctags = base_pts, base_tags
+        for j in range(m):
+            if j == i or not cpts:
+                continue
+            xj, yj = pts[j]
+            a = (2.0 * (xj - xi), 2.0 * (yj - yi))
+            c = xj * xj + yj * yj - qi - wvals[j] + wvals[i]
+            cpts, ctags = clip_every_time(cpts, ctags, a, c, j)
+        if not cpts:
+            cells.append(None)
+            areas.append(0.0)
+            perims.append(0.0)
+            interfaces.append(())
+            continue
+        cells.append(ConvexPolygon(tuple(cpts)))
+        areas.append(polygon_area(cpts))
+        perims.append(polygon_perimeter(cpts))
+        shared: dict[int, float] = {}
+        k = len(cpts)
+        for e in range(k):
+            t = ctags[e]
+            if t < 0:
+                continue
+            x0, y0 = cpts[e]
+            x1, y1 = cpts[(e + 1) % k]
+            shared[t] = shared.get(t, 0.0) + ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+        interfaces.append(tuple(sorted(shared.items())))
+    return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
+                        cells=tuple(cells), areas=tuple(areas),
+                        perimeters=tuple(perims), interfaces=tuple(interfaces))

@@ -81,6 +81,22 @@ class TestComplex:
                       env_extra={"EQUICELL_BUDGET": "many"})
         assert res.returncode == 2
 
+    def test_negative_budget_flag(self, tmp_path):
+        out = tmp_path / "poset.json"
+        res = run_cli("complex", "--d", "2", "--n", "3", "--budget", "-5",
+                      "--output", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "non-negative" in res.stderr
+        assert not out.exists()
+
+    def test_negative_budget_env(self, tmp_path):
+        out = tmp_path / "poset.json"
+        res = run_cli("complex", "--d", "2", "--n", "3", "--output", str(out),
+                      env_extra={"EQUICELL_BUDGET": "-5"})
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "non-negative" in res.stderr
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("complex", "--d", "2", "--n", "4", "--output", str(a))
@@ -173,6 +189,36 @@ class TestEquipart:
                       "--output", str(out), "--svg", str(svg))
         assert res.returncode == 0
         assert svg.read_text().startswith("<svg")
+
+    def assert_write_error(self, tmp_path, flag):
+        target = tmp_path / "missing" / "out"
+        res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
+                      flag, str(target))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot write")
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+    def test_output_in_missing_directory(self, tmp_path):
+        self.assert_write_error(tmp_path, "--output")
+
+    def test_svg_in_missing_directory(self, tmp_path):
+        self.assert_write_error(tmp_path, "--svg")
+
+    def test_output_through_symlink_and_to_a_pipe(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        (tmp_path / "link.json").symlink_to(real)
+        res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
+                      "--output", str(tmp_path / "link.json"))
+        assert res.returncode == 0
+        assert (tmp_path / "link.json").is_symlink()
+        assert json.loads(real.read_text())["converged"] is True
+        # stdout is a pipe here; it is written directly, not replaced
+        res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
+                      "--output", "/dev/stdout")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["converged"] is True
 
     def test_determinism(self, tmp_path):
         fixture = self.weights_fixture(tmp_path)

@@ -95,6 +95,17 @@ class TestClipHalfplane:
         assert tri != []
         assert polygon_area(tri) == pytest.approx(0.5, abs=1e-12)
 
+    def test_holding_half_plane_returns_input(self):
+        pts, tags = list(SQUARE.vertices), [-1, -2, -3, -4]
+        out = clip_tagged(pts, tags, (1.0, 0.0), 1.0, 7)
+        assert out[0] is pts and out[1] is tags
+        # an earlier clip result, with a new vertex, is returned as it is too
+        cut = clip_tagged(pts, tags, (1.0, 1.0), 1.5, 7)
+        assert len(cut[0]) == 5
+        again = clip_tagged(cut[0], cut[1], (1.0, 1.0), 1.5, 8)
+        assert again[0] is cut[0] and again[1] is cut[1]
+        assert support.clip_every_time(cut[0], cut[1], (1.0, 1.0), 1.5, 8) == cut
+
     def test_sliver_reported_empty(self):
         assert clip(SQUARE, (1.0, 0.0), 1e-16) == []
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import support
-from equicell import power_diagram, render_power_diagram_svg
+from equicell import (ConvexPolygon, equalize_perimeters, power_diagram,
+                      render_power_diagram_svg)
 from equicell import jsonio
 
 
@@ -80,3 +81,19 @@ class TestSvg:
         svg = render_power_diagram_svg(pd)
         assert svg.count("<circle") == 2
         assert svg.startswith("<svg")
+
+    def test_sites_outside_polygon_on_canvas(self):
+        # the equal-perimeter search may leave sites outside the polygon (not
+        # at seed 0 today, so a hand-placed site far below it is drawn too)
+        quad = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.6, 1.1), (0.2, 0.8)))
+        searched = equalize_perimeters(quad, 3, tol=1e-6, seed=0).diagram
+        placed = power_diagram(quad, ((0.6, -0.4), (1.2, 0.5), (0.8, 0.7)))
+        for diagram in (searched, placed):
+            svg = render_power_diagram_svg(diagram)
+            width, height = map(float, re.search(
+                r'viewBox="0 0 ([\d.]+) ([\d.]+)"', svg).groups())
+            circles = re.findall(
+                r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="([\d.]+)"', svg)
+            assert len(circles) == 3
+            for cx, cy, r in ((float(a), float(b), float(c)) for a, b, c in circles):
+                assert r <= cx <= width - r and r <= cy <= height - r

@@ -277,6 +277,14 @@ class TestBudget:
         with pytest.raises(ValueError):
             resolve_budget(None)
 
+    def test_negative_budget_rejected(self, monkeypatch):
+        with pytest.raises(ValueError):
+            resolve_budget(-1)
+        assert resolve_budget(0) == 0
+        monkeypatch.setenv("EQUICELL_BUDGET", "-1")
+        with pytest.raises(ValueError):
+            resolve_budget(None)
+
     def test_count_bound_complement_exact(self):
         for d, n in [(2, 3), (3, 4), (2, 5)]:
             assert label_count_bound(d, n, KIND_COMPLEMENT) == \

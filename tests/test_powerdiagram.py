@@ -1,12 +1,15 @@
 """Tests for power diagrams: cell construction, the partition property,
-interface bookkeeping, and equivariance under motions and relabelings."""
+interface bookkeeping, equivariance under motions and relabelings, and
+bit-for-bit agreement of the clip-skipping build with all-pairs clipping."""
 
 import numpy as np
 import pytest
 
 import support
 from equicell import (ConvexPolygon, PowerDiagram, Sites, Weights,
-                      perimeter_spread, point_cell_index, power_diagram)
+                      perimeter_spread, point_cell_index, power_diagram,
+                      solve_equal_measure_weights)
+from equicell import powerdiagram
 
 SQUARE = support.UNIT_SQUARE
 
@@ -200,3 +203,111 @@ class TestEquivariance:
                 continue
             assert support.vertex_set_close(ca, cb, 1e-9)
             assert pd2.areas[new_i] == pytest.approx(pd.areas[old_i], rel=1e-9)
+
+
+def outside_sites(rng, polygon, n):
+    """n random points of the polygon's bounding box, doubled, that lie
+    outside the polygon."""
+    x0, y0, x1, y1 = polygon.bbox
+    dx, dy = x1 - x0, y1 - y0
+    out = []
+    while len(out) < n:
+        p = (float(rng.uniform(x0 - dx / 2, x1 + dx / 2)),
+             float(rng.uniform(y0 - dy / 2, y1 + dy / 2)))
+        if not polygon.contains(p, eps=-1e-6):
+            out.append(p)
+    return tuple(out)
+
+
+class TestSkippedClips:
+    """Skipped clips must be exactly those that would change nothing: every
+    diagram equals the all-pairs reference down to the last bit (repr of a
+    float round-trips).  Sizes straddle powerdiagram.SKIP_FROM."""
+
+    def assert_exact(self, poly, sites, weights=None):
+        got = power_diagram(poly, sites, weights)
+        want = support.all_pairs_power_diagram(poly, sites, weights)
+        assert repr(got) == repr(want)
+        return got
+
+    @pytest.mark.parametrize("n", [3, 9, 40, 90])
+    def test_random_interior_sites(self, n):
+        rng = np.random.default_rng(300 + n)
+        for offset in ((0.0, 0.0), (0.0, 0.0), (1e3, -2e3)):
+            poly = support.random_convex_polygon(rng, offset=offset)
+            sites = support.random_sites_inside(rng, poly, n)
+            w = rng.normal(scale=0.2 * poly.area / n, size=n)
+            self.assert_exact(poly, sites)
+            self.assert_exact(poly, sites, tuple(w - w.mean()))
+
+    def test_solved_weights(self):
+        rng = np.random.default_rng(311)
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, 60)
+        w = solve_equal_measure_weights(poly, sites)
+        diagram = self.assert_exact(poly, sites, w)
+        assert max(diagram.areas) - min(diagram.areas) < 1e-8
+
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_half_outside_sites(self, n):
+        rng = np.random.default_rng(320 + n)
+        poly = support.random_convex_polygon(rng)
+        sites = (support.random_sites_inside(rng, poly, n // 2)
+                 + outside_sites(rng, poly, n - n // 2))
+        w = rng.normal(scale=0.1 * poly.area / n, size=n)
+        self.assert_exact(poly, sites)
+        self.assert_exact(poly, sites, tuple(w))
+
+    @pytest.mark.parametrize("n", [7, 70])
+    def test_weights_that_empty_cells(self, n):
+        rng = np.random.default_rng(330 + n)
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, n)
+        w = rng.normal(scale=0.2, size=n)
+        diagram = self.assert_exact(poly, sites, tuple(w))
+        assert any(c is None for c in diagram.cells)
+        assert any(c is not None for c in diagram.cells)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_weights_spread_over_three_decades(self, scale):
+        rng = np.random.default_rng(340)
+        n = 50
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, n)
+        w = scale * rng.choice((-1.0, 1.0), size=n) * 10.0 ** rng.uniform(-3, 0, size=n)
+        self.assert_exact(poly, sites, tuple(w))
+
+    @pytest.mark.parametrize("pairs", [2, 20])
+    def test_near_coincident_sites_with_large_weights(self, pairs):
+        rng = np.random.default_rng(350 + pairs)
+        poly = support.random_convex_polygon(rng)
+        base = support.random_sites_inside(rng, poly, pairs)
+        sites = tuple(q for x, y in base for q in ((x, y), (x + 1e-11, y)))
+        w = rng.normal(scale=0.5, size=2 * pairs)
+        self.assert_exact(poly, sites)
+        self.assert_exact(poly, sites, tuple(w))
+
+    def test_one_and_two_sites(self):
+        rng = np.random.default_rng(360)
+        poly = support.random_convex_polygon(rng)
+        one = self.assert_exact(poly, ((0.3, 0.4),))
+        assert one.cells[0] == poly
+        self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)))
+        self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (0.05, -0.05))
+        self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (3.0, -3.0))
+
+    def test_clips_scale_with_neighbours(self, monkeypatch):
+        calls = []
+        clip = powerdiagram.clip_tagged
+
+        def counted(*args):
+            calls.append(1)
+            return clip(*args)
+
+        monkeypatch.setattr(powerdiagram, "clip_tagged", counted)
+        rng = np.random.default_rng(370)
+        n = 150
+        sites = support.random_sites_inside(rng, SQUARE, n)
+        diagram = power_diagram(SQUARE, sites)
+        assert sum(diagram.areas) == pytest.approx(1.0, rel=1e-12)
+        assert len(calls) < 0.3 * n * (n - 1)
