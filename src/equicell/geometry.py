@@ -160,6 +160,9 @@ def clip_tagged(pts, tags, a, c, new_tag):
             out_t.append(tp)
         if p_in != q_in:
             t = sp / (sp - sq)
+            if not 0.0 <= t <= 1.0:
+                # both sides positive, one within eps: keep the point on the edge
+                t = 0.0 if t < 0.0 else 1.0
             ip = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             out_p.append(ip)
             out_t.append(new_tag if p_in else tp)

@@ -87,7 +87,7 @@ class CellLabel:
     @property
     def is_cell(self) -> bool:
         """True when every separator is at most d (no coincident columns)."""
-        return all(s <= self.d for s in self.seps)
+        return max(self.seps, default=0) <= self.d
 
     def to_string(self) -> str:
         parts = []

@@ -229,13 +229,14 @@ def facet_ridge_class_counts(d: int, n: int,
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
     _check_budget(d, n, KIND_COMPLEMENT, budget)
-    ridges = {(r.sigma, r.seps): r for r in ridge_cells(d, n)}
+    ridges = {(r.sigma, r.seps): (r, ridge_orbit_index(r) - 1)
+              for r in ridge_cells(d, n)}
     counts = np.zeros((factorial(n), n - 1), dtype=np.int64)
     for row, facet in zip(counts, top_cells(d, n)):
         for face in boundary(facet.sigma, facet.seps):
-            ridge = ridges.get(face)
+            ridge, cls = ridges.get(face, (None, None))
             if ridge is not None and is_face_complement(ridge, facet):
-                row[ridge_orbit_index(ridge) - 1] += 1
+                row[cls] += 1
     return counts
 
 

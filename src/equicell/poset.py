@@ -13,14 +13,25 @@ gov_Y(b, a) < j'.  Call that cond(X, Y).
 The opposite argument order is not an accident: refining a stratum weakens
 strict column comparisons into ties, while shrinking a cell strengthens the
 separator a pair of points must realize.
+
+Hence one boundary operator serves both kinds.  gov rows ignore d, so by
+cond(fine, coarse) the strata whose closure holds a stratum are the faces of
+its label read as a cell of the (d+1)-complex.  Stratum dimension
+(d+1)(n-1) - sum(seps) falls as cell dimension sum(seps) - (n-1) rises, so
+`boundary` lists a cell's lower covers and a stratum's upper covers.  Those
+faces are normalized: a run of d+1 is only cut, at j = d+1, into single
+letters kept in order.
 """
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -159,11 +170,25 @@ class FacePoset:
     dims: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _index(self) -> dict[CellLabel, int]:
+        return {lab: i for i, lab in enumerate(self.elements)}
+
+    @cached_property
+    def _adjacent(self) -> tuple[list[list[int]], list[list[int]]]:
+        # each element's lower covers and upper covers, in covers order
+        lower = [[] for _ in self.elements]
+        upper = [[] for _ in self.elements]
+        for lo, hi in self.covers:
+            lower[hi].append(lo)
+            upper[lo].append(hi)
+        return lower, upper
+
     def index(self, label: CellLabel) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
-            raise KeyError("label %s not in poset" % label)
+            return self._index[label]
+        except KeyError:
+            raise KeyError("label %s not in poset" % label) from None
 
     def elements_of_dim(self, k: int) -> list[int]:
         return [i for i, dim in enumerate(self.dims) if dim == k]
@@ -179,10 +204,10 @@ class FacePoset:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector()))
 
     def lower_covers(self, i: int) -> list[int]:
-        return [lo for lo, hi in self.covers if hi == i]
+        return list(self._adjacent[0][i])
 
     def upper_covers(self, i: int) -> list[int]:
-        return [hi for lo, hi in self.covers if lo == i]
+        return list(self._adjacent[1][i])
 
 
 def _dimension(label: CellLabel, kind: str) -> int:
@@ -232,6 +257,32 @@ def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
     return cond_block(g_lo, g_hi, gt_hi)
 
 
+@lru_cache(maxsize=None)
+def _moves(seps) -> tuple:
+    """The faces of `boundary` for the separator word seps, as pairs
+    (getter, face seps), where getter picks the face's letters from sigma by
+    position.  Cached, one entry per separator word."""
+    n = len(seps) + 1
+    moves = []
+    for j in sorted(set(seps) - {1}):
+        ends = [k + 1 for k in range(n - 1) if seps[k] < j] + [n]
+        for lo, hi in zip([0] + ends, ends):
+            # letters lo..hi-1 span a maximal run of gaps >= j
+            cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if seps[k] == j] + [hi]
+            blocks = [(tuple(range(a, b)), seps[a:b - 1]) for a, b in zip(cuts, cuts[1:])]
+            for mask in range(1, 2 ** len(blocks) - 1):
+                front = [blk for i, blk in enumerate(blocks) if mask >> i & 1]
+                back = [blk for i, blk in enumerate(blocks) if not mask >> i & 1]
+                places, gaps = tuple(range(lo)), seps[:lo]
+                for pos, (block_places, block_gaps) in enumerate(front + back):
+                    if pos:
+                        gaps += (j - 1 if pos == len(front) else j,)
+                    places += block_places
+                    gaps += block_gaps
+                moves.append((itemgetter(*places, *range(hi, n)), gaps + seps[hi - 1:]))
+    return tuple(moves)
+
+
 def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Lower covers of the complement-kind cell (sigma, seps), as (sigma, seps).
 
@@ -241,54 +292,23 @@ def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     the blocks on either side stay joined by j.  For a facet these are the
     C(n, i) unshuffles with the lowered separator in gap i.
     """
-    n = len(sigma)
-    faces = []
-    for j in sorted(set(seps) - {1}):
-        ends = [k + 1 for k in range(n - 1) if seps[k] < j] + [n]
-        for lo, hi in zip([0] + ends, ends):
-            # letters lo..hi-1 span a maximal run of gaps >= j
-            cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if seps[k] == j] + [hi]
-            blocks = [(sigma[a:b], seps[a:b - 1]) for a, b in zip(cuts, cuts[1:])]
-            for mask in range(1, 2 ** len(blocks) - 1):
-                front = [blk for i, blk in enumerate(blocks) if mask >> i & 1]
-                back = [blk for i, blk in enumerate(blocks) if not mask >> i & 1]
-                letters, gaps = sigma[:lo], seps[:lo]
-                for pos, (block_letters, block_gaps) in enumerate(front + back):
-                    if pos:
-                        gaps += (j - 1 if pos == len(front) else j,)
-                    letters += block_letters
-                    gaps += block_gaps
-                faces.append((letters + sigma[hi:], gaps + seps[hi - 1:]))
-    return faces
+    return [(get(sigma), gaps) for get, gaps in _moves(tuple(seps))]
 
 
 def enumerate_cells(d: int, n: int, kind: str = KIND_COMPLEMENT,
                     budget: int | None = None) -> FacePoset:
     """Build the full graded poset with covering relations.
 
-    Cell-kind covers come from `boundary`; stratum-kind covers are the face
-    pairs one dimension apart, found by the vectorized pairwise face test.
+    Both kinds take their covers from `boundary`: the faces it lists are a
+    cell's lower covers and a stratum's upper covers (see the module
+    docstring).
     """
     labels = enumerate_labels(d, n, kind, budget=budget)
     dims = tuple(_dimension(lab, kind) for lab in labels)
-    if kind == KIND_COMPLEMENT:
-        index = {(lab.sigma, lab.seps): i for i, lab in enumerate(labels)}
-        covers = [(index[face], hi) for hi, lab in enumerate(labels)
-                  for face in boundary(lab.sigma, lab.seps)]
-    else:
-        covers = []
-        by_dim: dict[int, list[int]] = {}
-        for i, dim in enumerate(dims):
-            by_dim.setdefault(dim, []).append(i)
-        for k in sorted(by_dim):
-            if k + 1 not in by_dim:
-                continue
-            los = by_dim[k]
-            his = by_dim[k + 1]
-            mat = face_matrix([labels[i] for i in los], [labels[i] for i in his], kind)
-            for ii, jj in zip(*np.nonzero(mat)):
-                covers.append((los[ii], his[jj]))
-    covers.sort()
+    index = {(lab.sigma, lab.seps): i for i, lab in enumerate(labels)}
+    up = kind == KIND_STRATIFICATION
+    covers = sorted((i, j) if up else (j, i) for i, lab in enumerate(labels)
+                    for j in map(index.__getitem__, boundary(lab.sigma, lab.seps)))
     return FacePoset(kind=kind, d=d, n=n, elements=tuple(labels), dims=dims,
                      covers=tuple(covers))
 
@@ -302,36 +322,51 @@ def _leq(kind: str, a: CellLabel, b: CellLabel) -> bool:
     return is_face_stratification(b, a)
 
 
-def validate_covers(poset: FacePoset) -> None:
-    """Cross-check the stored covering pairs against the full face order.
+def _cover_count(seps) -> int:
+    """Closed form of len(boundary(sigma, seps)): every maximal run of gaps
+    >= j, for j >= 2, cut at its j-gaps into b blocks gives 2**b - 2 faces."""
+    total = 0
+    for j in set(seps) - {1}:
+        blocks = 1
+        for s in seps + (0,):
+            if s >= j:
+                blocks += s == j
+            else:
+                total += 2 ** blocks - 2
+                blocks = 1
+    return total
 
-    Re-derives every relation with the scalar pair test (independent of the
-    vectorized construction) and raises ValueError if a stored pair is not a
-    face pair with dimension gap one, if some strictly intermediate element
-    exists between a stored pair, or if a face pair with dimension gap one
-    is missing from the stored covers.
+
+def validate_covers(poset: FacePoset) -> None:
+    """Check the stored covering pairs locally, independently of `boundary`.
+
+    Raises ValueError if a pair is stored twice, is not one dimension apart
+    or fails the scalar face test; if an element has other than
+    `_cover_count(seps)` covers below it (cells) or above it (strata); or if
+    an interval of length two through stored covers has other than two
+    middle elements.  Passing pairs are true covers, so the counts show none
+    is missing.  Nothing can lie strictly between a face pair one dimension
+    apart, as dimension grows strictly along the order, so that goes unscanned.
     """
-    elems = poset.elements
-    dims = poset.dims
-    kind = poset.kind
-    stored = set(poset.covers)
-    for lo, hi in stored:
+    elems, dims, kind = poset.elements, poset.dims, poset.kind
+    if len(set(poset.covers)) != len(poset.covers):
+        raise ValueError("a cover is stored twice")
+    for lo, hi in poset.covers:
         if dims[hi] != dims[lo] + 1:
             raise ValueError(f"cover ({lo},{hi}) has dimension gap != 1")
         if not _leq(kind, elems[lo], elems[hi]):
             raise ValueError(f"cover ({lo},{hi}) is not a face pair")
-        for z in range(len(elems)):
-            if z == lo or z == hi:
-                continue
-            if _leq(kind, elems[lo], elems[z]) and _leq(kind, elems[z], elems[hi]):
-                raise ValueError(
-                    f"element {z} lies strictly between cover ({lo},{hi})")
-    for i in range(len(elems)):
-        for j in range(len(elems)):
-            if dims[j] != dims[i] + 1 or (i, j) in stored:
-                continue
-            if _leq(kind, elems[i], elems[j]):
-                raise ValueError(f"face pair ({i},{j}) missing from covers")
+    lower, upper = poset._adjacent
+    faces = lower if kind == KIND_COMPLEMENT else upper
+    for i, lab in enumerate(elems):
+        want = _cover_count(lab.seps)
+        if len(faces[i]) != want:
+            raise ValueError(f"element {i} has {len(faces[i])} covers, expected {want}")
+    for x in range(len(elems)):
+        mids = Counter(z for y in upper[x] for z in upper[y])
+        for z, count in mids.items():
+            if count != 2:
+                raise ValueError(f"interval ({x},{z}) has {count} middle elements")
 
 
 def f_vector(d: int, n: int, budget: int | None = None) -> tuple[int, ...]:

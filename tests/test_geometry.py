@@ -106,6 +106,20 @@ class TestClipHalfplane:
         assert again[0] is cut[0] and again[1] is cut[1]
         assert support.clip_every_time(cut[0], cut[1], (1.0, 1.0), 1.5, 8) == cut
 
+    def test_in_to_out_edge_with_both_sides_positive(self):
+        # (0,0) counts as inside (side 1e-13 <= eps), (1,0) lies outside
+        # (side 3e-13); the cut point stays on the edge, at (0,0)
+        pts = clip(SQUARE, (2e-13, -1.0), -1e-13)
+        assert all(0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 for x, y in pts)
+        assert polygon_area(pts) == pytest.approx(1.0, abs=1e-12)
+
+    def test_out_to_in_edge_with_both_sides_positive(self):
+        # (0,0) lies outside (side 3e-13), (1,0) counts as inside (side
+        # 1e-13); the cut point stays on the edge, at (1,0)
+        pts = clip(SQUARE, (-2e-13, -1.0), -3e-13)
+        assert all(0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 for x, y in pts)
+        assert polygon_area(pts) == pytest.approx(1.0, abs=1e-12)
+
     def test_sliver_reported_empty(self):
         assert clip(SQUARE, (1.0, 0.0), 1e-16) == []
 

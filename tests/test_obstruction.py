@@ -65,6 +65,13 @@ class TestIncidenceVectors:
         for facet in top_cells(2, 4):
             assert facet_incidence_vector(facet, p) == (4, 6, 4)
 
+    def test_every_facet_of_phi_2_6_is_quick(self):
+        p = enumerate_cells(2, 6)
+        start = time.perf_counter()
+        rows = {facet_incidence_vector(facet, p) for facet in top_cells(2, 6)}
+        assert rows == {expected_incidence_row(6)}
+        assert time.perf_counter() - start < 5.0
+
     def test_two_point_sphere(self):
         p = enumerate_cells(3, 2)
         for facet in top_cells(3, 2):

@@ -13,8 +13,9 @@ from equicell import (BudgetExceededError, CellLabel, FacePoset,
                       enumerate_cells, enumerate_labels, euler_characteristic,
                       f_vector, group_action, is_face_complement,
                       is_face_stratification, poset_from_json, poset_to_json,
-                      resolve_budget, validate_covers)
-from equicell.poset import boundary, face_matrix, label_count_bound
+                      resolve_budget, stratum_dimension, validate_covers)
+from equicell import poset as poset_module
+from equicell.poset import _cover_count, boundary, face_matrix, label_count_bound
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -190,14 +191,14 @@ class TestPosetStructure:
         assert len(p.elements_of_dim(2)) == 6
 
 
-def dense_covers(d, n):
-    """Covers of the cell poset from the dense face test on adjacent layers."""
-    p = enumerate_cells(d, n)
+def dense_covers(d, n, kind=KIND_COMPLEMENT):
+    """Covers of the poset from the dense face test on adjacent layers."""
+    p = enumerate_cells(d, n, kind)
     covers = []
     for k in range(max(p.dims)):
         los, his = p.elements_of_dim(k), p.elements_of_dim(k + 1)
         mat = face_matrix([p.elements[i] for i in los],
-                          [p.elements[i] for i in his], KIND_COMPLEMENT)
+                          [p.elements[i] for i in his], kind)
         covers += [(los[a], his[b]) for a, b in zip(*np.nonzero(mat))]
     return tuple(sorted(covers))
 
@@ -223,6 +224,95 @@ class TestBoundary:
                                      (3, 4), (4, 3), (4, 4)])
     def test_covers_match_dense_face_test(self, d, n):
         assert enumerate_cells(d, n).covers == dense_covers(d, n)
+
+
+STRATA_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5),
+                (3, 3), (3, 4), (4, 3), (4, 4)]
+
+
+class TestStrataCovers:
+    @pytest.mark.parametrize("d,n", STRATA_SIZES)
+    def test_covers_match_dense_face_test(self, d, n):
+        assert enumerate_cells(d, n, KIND_STRATIFICATION).covers == \
+            dense_covers(d, n, KIND_STRATIFICATION)
+
+    def test_faces_are_upper_covers(self):
+        for lab in enumerate_labels(2, 4, KIND_STRATIFICATION):
+            for sigma, seps in boundary(lab.sigma, lab.seps):
+                coarser = CellLabel(sigma, seps, 2)
+                assert stratum_dimension(coarser) == stratum_dimension(lab) + 1
+                assert is_face_stratification(coarser, lab)
+
+
+def broken(p, covers):
+    return FacePoset(kind=p.kind, d=p.d, n=p.n, elements=p.elements,
+                     dims=p.dims, covers=tuple(covers))
+
+
+def moved_cover(p):
+    """The covers of p with one pair moved to a non-face of the same element
+    (its lower end for cells, its upper end for strata), so that every count
+    the check makes stays the same."""
+    covers = list(p.covers)
+    lo, hi = covers[0]
+    if p.kind == KIND_COMPLEMENT:
+        other = next(i for i in p.elements_of_dim(p.dims[lo])
+                     if (i, hi) not in covers)
+        covers[0] = (other, hi)
+    else:
+        other = next(i for i in p.elements_of_dim(p.dims[hi])
+                     if (lo, i) not in covers)
+        covers[0] = (lo, other)
+    return covers
+
+
+class TestLocalValidation:
+    @pytest.mark.parametrize("d,n,kind", [
+        (2, 5, KIND_COMPLEMENT), (3, 4, KIND_COMPLEMENT), (3, 5, KIND_COMPLEMENT),
+        (2, 5, KIND_STRATIFICATION), (1, 6, KIND_STRATIFICATION)])
+    def test_passes(self, d, n, kind):
+        validate_covers(enumerate_cells(d, n, kind))
+
+    def test_cover_count_is_the_number_of_faces(self):
+        for d, n, kind in [(3, 4, KIND_COMPLEMENT), (2, 4, KIND_STRATIFICATION)]:
+            for lab in enumerate_labels(d, n, kind):
+                faces = boundary(lab.sigma, lab.seps)
+                assert _cover_count(lab.seps) == len(set(faces)) == len(faces)
+
+    @pytest.fixture(params=[(2, 4, KIND_COMPLEMENT), (2, 4, KIND_STRATIFICATION)])
+    def poset(self, request):
+        return enumerate_cells(*request.param)
+
+    def test_rejects_dropped_cover(self, poset):
+        with pytest.raises(ValueError, match="covers, expected"):
+            validate_covers(broken(poset, poset.covers[1:]))
+
+    def test_rejects_extra_non_face(self, poset):
+        covers, dims = set(poset.covers), poset.dims
+        extra = next((lo, hi) for lo in range(len(dims)) for hi in range(len(dims))
+                     if dims[hi] == dims[lo] + 1 and (lo, hi) not in covers)
+        with pytest.raises(ValueError, match="not a face pair"):
+            validate_covers(broken(poset, poset.covers + (extra,)))
+
+    def test_rejects_pair_two_dimensions_apart(self, poset):
+        lo, hi = next((lo, hi) for lo, mid in poset.covers
+                      for hi in poset.upper_covers(mid))
+        with pytest.raises(ValueError, match="dimension gap"):
+            validate_covers(broken(poset, poset.covers + ((lo, hi),)))
+
+    def test_rejects_duplicated_cover(self, poset):
+        with pytest.raises(ValueError, match="stored twice"):
+            validate_covers(broken(poset, poset.covers + poset.covers[:1]))
+
+    def test_rejects_moved_cover(self, poset):
+        with pytest.raises(ValueError, match="not a face pair"):
+            validate_covers(broken(poset, moved_cover(poset)))
+
+    def test_diamond_catches_what_a_blind_face_test_lets_through(
+            self, poset, monkeypatch):
+        monkeypatch.setattr(poset_module, "_leq", lambda kind, a, b: True)
+        with pytest.raises(ValueError, match="middle elements"):
+            validate_covers(broken(poset, moved_cover(poset)))
 
 
 class TestEquivariance:
