@@ -20,13 +20,13 @@ from math import factorial, isfinite
 from pathlib import Path
 
 from . import jsonio
-from .equalize import equalize_perimeters
-from .geometry import ConvexPolygon, polygon_area
+from .equalize import EqualizeError, equalize_perimeters
+from .geometry import ConvexPolygon, check_finite_extent, polygon_area
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
 from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION,
-                    enumerate_cells, poset_to_json)
+                    enumerate_cells, poset_csv_chunks, poset_json_chunks)
 from .powerdiagram import Sites, perimeter_spread, power_diagram
 from .svgout import render_power_diagram_svg
 from .weights import WeightSolveError, solve_equal_measure_weights
@@ -45,30 +45,33 @@ class OutputError(Exception):
     """An output file could not be written."""
 
 
-def _emit(text: str, path: str | None):
-    """Write text to stdout or to path.  A file is written whole or not at
-    all: through a temp file beside it, renamed over it (through a symlink,
-    the file it names).  A device or pipe, such as /dev/stdout, is written
-    directly."""
+def _emit(text, path: str | None):
+    """Write text, a string or an iterable of string chunks, to stdout or to
+    path.  A file is written whole or not at all: through a temp file beside
+    it, renamed over it (through a symlink, the file it names).  A device or
+    pipe, such as /dev/stdout, is written directly."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = Path(path)
     tmp = None
     try:
         if target.exists() and not target.is_file():
             with open(target, "w") as f:
-                f.write(text)
+                f.writelines(chunks)
             return
         target = target.resolve()
         tmp = target.with_name(".%s.%d.tmp" % (target.name, os.getpid()))
         with open(tmp, "x") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, target)
-    except OSError as e:
+    except BaseException as e:
         if tmp is not None:
             tmp.unlink(missing_ok=True)
-        raise OutputError("cannot write %s: %s" % (path, e.strerror or e)) from None
+        if isinstance(e, OSError):
+            raise OutputError("cannot write %s: %s" % (path, e.strerror or e)) from None
+        raise
 
 
 def cmd_complex(args) -> int:
@@ -92,19 +95,13 @@ def cmd_complex(args) -> int:
         ok &= fv[0] == 1
         ok &= fv[-1] == nfac
     print("kind=%s d=%d n=%d" % (args.kind, args.d, args.n))
-    print("elements=%d covers=%d" % (len(poset.elements), len(poset.covers)))
+    print("elements=%d covers=%d" % (len(poset.labels), len(poset.covers)))
     print("f_vector=%s" % (fv,))
     print("euler_characteristic=%d" % chi)
     print("checks=%s" % ("ok" if ok else "FAILED"))
     if args.output is not None or args.format == "csv":
-        if args.format == "json":
-            text = poset_to_json(poset)
-        else:
-            rows = ["index,dim,label"]
-            for i, (lab, dim) in enumerate(zip(poset.elements, poset.dims)):
-                rows.append("%d,%d,%s" % (i, dim, lab.to_string()))
-            text = "\n".join(rows) + "\n"
-        _emit(text, args.output)
+        write = poset_json_chunks if args.format == "json" else poset_csv_chunks
+        _emit(write(poset), args.output)
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -155,7 +152,9 @@ def _load_polygon(data) -> ConvexPolygon:
     pts = [(float(x), float(y)) for x, y in verts]
     if polygon_area(pts) < 0:
         pts.reverse()
-    return ConvexPolygon(tuple(pts))
+    polygon = ConvexPolygon(tuple(pts))
+    check_finite_extent(polygon)
+    return polygon
 
 
 def _diagram_payload(diag, spread, iterations, converged) -> dict:
@@ -232,7 +231,10 @@ def cmd_equipart(args) -> int:
         nparts = data.get("n")
         if not isinstance(nparts, int) or nparts < 2:
             return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)
-        result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)
+        try:
+            result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)
+        except EqualizeError as e:
+            return _fail(str(e), EXIT_CHECK)
         converged = result.converged
         payload = _diagram_payload(result.diagram, result.spread,
                                    result.evaluations, result.converged)

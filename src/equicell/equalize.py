@@ -27,9 +27,13 @@ from itertools import count
 
 import numpy as np
 
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, check_finite_extent
 from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread, power_diagram
 from .weights import WeightSolveError, solve_equal_measure_weights
+
+
+class EqualizeError(RuntimeError):
+    """The search found no sites with an equal-area diagram."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,13 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     Deterministic for fixed arguments.  max_evals bounds the weight solves of
     the search, and one more polishes the result; evaluations counts them
     all.  When no configuration reaches tol within the budget, the best one
-    found is returned with converged = False.
+    found is returned with converged = False; so is the best one itself when
+    the polish fails.  EqualizeError means no configuration had an
+    equal-area diagram, ValueError a polygon too large for floats.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    check_finite_extent(polygon)
     bb = polygon.bbox
     diam = ((bb[2] - bb[0]) ** 2 + (bb[3] - bb[1]) ** 2) ** 0.5
     h = 1e-7 * diam
@@ -134,10 +141,13 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
             x, got = gauss_newton_step(x, r, w)
 
     if best[1] is None:
-        raise RuntimeError("search made no evaluations")
+        raise EqualizeError("no equal-area diagram in %d weight solves" % evals)
     _, x, w, start = best
     sts = Sites(tuple(map(tuple, x)))
-    wts = solve_equal_measure_weights(polygon, sts, tol=1e-12, max_iter=3000, w0=w)
+    try:
+        wts = solve_equal_measure_weights(polygon, sts, tol=1e-12, max_iter=3000, w0=w)
+    except WeightSolveError:
+        wts = Weights(w)
     evals += 1
     diag = power_diagram(polygon, sts, wts)
     spread = perimeter_spread(diag)

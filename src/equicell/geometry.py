@@ -61,6 +61,18 @@ def _merge_close(pts, tags=None, eps=MERGE_EPS):
     return keep_pts
 
 
+def check_finite_extent(polygon) -> None:
+    """ValueError unless the polygon's area, perimeter and squared
+    bounding-box diagonal are finite floats."""
+    x0, y0, x1, y1 = polygon.bbox
+    try:
+        sizes = (polygon.area, polygon.perimeter, (x1 - x0) ** 2 + (y1 - y0) ** 2)
+    except OverflowError:
+        sizes = (float("inf"),)
+    if not all(map(isfinite, sizes)):
+        raise ValueError("area, perimeter or extent of the polygon overflows")
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices and positive area.

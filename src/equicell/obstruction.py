@@ -13,14 +13,13 @@ when n is not a prime power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
 from .labels import CellLabel, InvalidLabelError
-from .poset import (FacePoset, _check_budget, KIND_COMPLEMENT, boundary,
-                    is_face_complement)
+from .poset import (FacePoset, _cell_labels, _check_budget, _grid, _label_rows,
+                    KIND_COMPLEMENT, boundary, cond_rows, gov_rows)
 
 
 @dataclass(frozen=True)
@@ -201,42 +200,47 @@ def obstruction_report(d: int, n: int) -> ObstructionReport:
                              map_exists=exists, witness=witness)
 
 
+def _cells(d: int, n: int, words) -> np.ndarray:
+    return _label_rows(*_grid(d, n, words))
+
+
 def top_cells(d: int, n: int) -> list[CellLabel]:
     """All facets (every separator equal to d), in lexicographic sigma order."""
-    seps = (d,) * (n - 1)
-    return [CellLabel(sigma, seps, d) for sigma in permutations(range(1, n + 1))]
+    return _cell_labels(_cells(d, n, [(d,) * (n - 1)]), d)
 
 
 def ridge_cells(d: int, n: int) -> list[CellLabel]:
     """All ridges (one separator d-1, the rest d), lexicographic (sigma, seps)."""
     if d < 2:
         raise ValueError("ridges need d >= 2")
-    out = []
-    for sigma in permutations(range(1, n + 1)):
-        for k in range(n - 1):
-            seps = tuple(d - 1 if m == k else d for m in range(n - 1))
-            out.append(CellLabel(sigma, seps, d))
-    return out
+    words = d - np.eye(n - 1, dtype=np.int64)
+    return _cell_labels(_cells(d, n, words), d)
 
 
 def facet_ridge_class_counts(d: int, n: int,
                              budget: int | None = None) -> np.ndarray:
     """Matrix (facets x classes) counting boundary ridges of each class.
 
-    Rows follow `top_cells`; a ridge from `boundary` counts only once the
-    pairwise face test confirms that it lies in the facet.
+    Rows follow `top_cells`.  `boundary` depends on sigma only through
+    positions, so the faces of the identity facet give every facet's faces
+    as position maps.  A ridge among them counts only once the face test
+    confirms, facet by facet, that it lies in the facet.
     """
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
     _check_budget(d, n, KIND_COMPLEMENT, budget)
-    ridges = {(r.sigma, r.seps): (r, ridge_orbit_index(r) - 1)
-              for r in ridge_cells(d, n)}
-    counts = np.zeros((factorial(n), n - 1), dtype=np.int64)
-    for row, facet in zip(counts, top_cells(d, n)):
-        for face in boundary(facet.sigma, facet.seps):
-            ridge, cls = ridges.get(face, (None, None))
-            if ridge is not None and is_face_complement(ridge, facet):
-                row[cls] += 1
+    top = (d,) * (n - 1)
+    facets = _cells(d, n, [top])
+    gov = gov_rows(facets)
+    counts = np.zeros((len(facets), n - 1), dtype=np.int64)
+    for places, seps in boundary(tuple(range(1, n + 1)), top):
+        try:
+            cls = ridge_orbit_index(CellLabel(places, seps, d)) - 1
+        except InvalidLabelError:
+            continue
+        ridges = np.column_stack([facets[:, np.array(places) - 1],
+                                  np.tile(np.array(seps, facets.dtype), (len(facets), 1))])
+        counts[:, cls] += cond_rows(gov, gov_rows(ridges))
     return counts
 
 

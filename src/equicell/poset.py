@@ -21,21 +21,32 @@ its label read as a cell of the (d+1)-complex.  Stratum dimension
 `boundary` lists a cell's lower covers and a stratum's upper covers.  Those
 faces are normalized: a run of d+1 is only cut, at j = d+1, into single
 letters kept in order.
+
+The poset is built columnar.  Its labels are the rows (sigma, seps) of one
+small-int array in lexicographic order, so with W separator words the label
+(sigma, seps) has key lexrank(sigma) * W + rank(seps), which is its index for
+cells; strata drop the rows that break the increasing-tie rule and are
+numbered through the running count of the rows kept.  `boundary` depends on
+sigma only through positions: the faces of (sigma, seps) read sigma through
+the position maps that are the faces of (identity, seps).  So the covers of
+all n! labels with one separator word come from applying each position map
+to the whole permutation array and ranking the rows.  The face test runs the
+same way, over stacked gov rows: a word's running minima between positions,
+scattered through sigma.
 """
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import factorial
 from operator import itemgetter
 
 import numpy as np
 
-from .labels import CellLabel, InvalidLabelError, cell_dimension, stratum_dimension
+from .labels import CellLabel, InvalidLabelError
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV = "EQUICELL_BUDGET"
@@ -46,11 +57,11 @@ _KINDS = (KIND_COMPLEMENT, KIND_STRATIFICATION)
 
 
 class BudgetExceededError(RuntimeError):
-    """Requested enumeration is larger than the configured label budget."""
+    """Requested enumeration is larger than the configured budget."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """The label budget: the argument, else EQUICELL_BUDGET, else the default.
+    """The budget: the argument, else EQUICELL_BUDGET, else the default.
     A negative budget is a ValueError."""
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
@@ -66,19 +77,41 @@ def resolve_budget(budget: int | None = None) -> int:
     return budget
 
 
+def _top(d: int, kind: str) -> int:
+    # largest separator of the kind's labels
+    return d if kind == KIND_COMPLEMENT else d + 1
+
+
 def label_count_bound(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
     """Exact label count for the cell kind; an upper bound for strata."""
-    base = d if kind == KIND_COMPLEMENT else d + 1
-    return factorial(n) * base ** (n - 1)
+    return factorial(n) * _top(d, kind) ** (n - 1)
 
 
-def _check_budget(d, n, kind, budget):
+def cover_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
+    """Exact cover count: each separator word has `_cover_count(word)` faces
+    per label, and n! / prod((r + 1)!) labels, r over its maximal runs of
+    ties (separator d+1), whose letters must increase."""
+    total = 0
+    for word in product(range(1, _top(d, kind) + 1), repeat=n - 1):
+        labels = factorial(n)
+        for tie, run in groupby(word, key=(d + 1).__eq__):
+            if tie:
+                labels //= factorial(len(list(run)) + 1)
+        total += labels * _cover_count(word)
+    return total
+
+
+def _check_budget(d, n, kind, budget, covers=False):
+    """The budget, once the labels of (d, n, kind) fit in it and, with
+    covers, their covers too."""
     limit = resolve_budget(budget)
-    bound = label_count_bound(d, n, kind)
-    if bound > limit:
-        raise BudgetExceededError(
-            "enumeration of (d=%d, n=%d, %s) needs %d labels, budget is %d"
-            % (d, n, kind, bound, limit))
+    bounds = (("labels", label_count_bound), ("covers", cover_count))
+    for what, bound in bounds[:2 if covers else 1]:
+        need = bound(d, n, kind)
+        if need > limit:
+            raise BudgetExceededError(
+                "enumeration of (d=%d, n=%d, %s) needs %d %s, budget is %d"
+                % (d, n, kind, need, what, limit))
     return limit
 
 
@@ -128,61 +161,107 @@ def is_face_complement(lower: CellLabel, upper: CellLabel) -> bool:
     return _cond_pair(upper, lower)
 
 
+def _grid(d: int, n: int, words):
+    """The permutations of 1..n and the separator words as arrays, both in
+    lexicographic order, and the (n!, W) mask of the labels in which no
+    tie, separator d+1, sits between decreasing letters."""
+    words = np.asarray(words)
+    dtype = np.min_scalar_type(max(n, d + 1))
+    perms = np.array(list(permutations(range(1, n + 1))), dtype=dtype)
+    words = words.astype(dtype)
+    keep = ~((perms[:, :-1] > perms[:, 1:]) @ (words == d + 1).T)
+    return perms, words, keep
+
+
+def _kind_grid(d: int, n: int, kind: str):
+    return _grid(d, n, list(product(range(1, _top(d, kind) + 1), repeat=n - 1)))
+
+
+def _label_rows(perms, words, keep) -> np.ndarray:
+    """Label rows (sigma, seps) of every permutation with every word that
+    keep admits, in lexicographic order."""
+    rows = np.concatenate([np.repeat(perms, len(words), axis=0),
+                           np.tile(words, (len(perms), 1))], axis=1)
+    return rows[keep.ravel()]
+
+
+def _cell_labels(rows: np.ndarray, d: int) -> list[CellLabel]:
+    n = (rows.shape[1] + 1) // 2
+    return [CellLabel(r[:n], r[n:], d) for r in rows.tolist()]
+
+
+def _lexrank(perms: np.ndarray) -> np.ndarray:
+    """Rank of each row among the permutations of its letters, in
+    lexicographic order: its Lehmer code read in the factorial base."""
+    n = perms.shape[1]
+    rank = np.zeros(len(perms), dtype=np.int64)
+    for k in range(n - 1):
+        rank = rank * (n - k) + (perms[:, k + 1:] < perms[:, k:k + 1]).sum(axis=1)
+    return rank
+
+
 def enumerate_labels(d: int, n: int, kind: str = KIND_COMPLEMENT,
                      budget: int | None = None) -> list[CellLabel]:
     """All labels of the given kind, ordered lexicographically by (sigma, seps)."""
     _check_args(d, n, kind)
     _check_budget(d, n, kind, budget)
-    out = []
-    if kind == KIND_COMPLEMENT:
-        seps_choices = list(product(range(1, d + 1), repeat=n - 1))
-        for sigma in permutations(range(1, n + 1)):
-            for seps in seps_choices:
-                out.append(CellLabel(sigma, seps, d))
-        return out
-    top = d + 1
-    seps_choices = list(product(range(1, top + 1), repeat=n - 1))
-    for sigma in permutations(range(1, n + 1)):
-        for seps in seps_choices:
-            ok = True
-            for k, s in enumerate(seps):
-                if s == top and sigma[k] > sigma[k + 1]:
-                    ok = False
-                    break
-            if ok:
-                out.append(CellLabel(sigma, seps, d))
-    return out
+    return _cell_labels(_label_rows(*_kind_grid(d, n, kind)), d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FacePoset:
-    """Graded face poset: labels, their dimensions, and covering pairs.
+    """Graded face poset, held as arrays.
 
-    covers holds index pairs (lo, hi) with dim(hi) = dim(lo) + 1 and the lo
-    element a face of the hi element; elements are in lexicographic
-    (sigma, seps) order.
+    labels has one row (sigma, seps) per element, in lexicographic order, and
+    dims the element dimensions.  covers is an (M, 2) array of index pairs
+    (lo, hi), sorted, with dim(hi) = dim(lo) + 1 and the lo element a face of
+    the hi element.  `elements` builds the CellLabels on first use.
     """
 
     kind: str
     d: int
     n: int
-    elements: tuple[CellLabel, ...]
-    dims: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
+    labels: np.ndarray
+    dims: np.ndarray
+    covers: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", np.asarray(self.labels))
+        object.__setattr__(self, "dims", np.asarray(self.dims, dtype=np.int64))
+        object.__setattr__(self, "covers", np.asarray(self.covers, dtype=np.int64)
+                           .reshape(-1, 2))
+
+    def __eq__(self, other):
+        if not isinstance(other, FacePoset):
+            return NotImplemented
+        return ((self.kind, self.d, self.n) == (other.kind, other.d, other.n)
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("labels", "dims", "covers")))
+
+    @cached_property
+    def elements(self) -> tuple[CellLabel, ...]:
+        return tuple(_cell_labels(self.labels, self.d))
 
     @cached_property
     def _index(self) -> dict[CellLabel, int]:
         return {lab: i for i, lab in enumerate(self.elements)}
 
     @cached_property
-    def _adjacent(self) -> tuple[list[list[int]], list[list[int]]]:
-        # each element's lower covers and upper covers, in covers order
-        lower = [[] for _ in self.elements]
-        upper = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            lower[hi].append(lo)
-            upper[lo].append(hi)
-        return lower, upper
+    def _adjacent(self):
+        # (lower, upper): for each, the other ends of the covers ordered
+        # stably by this end, and where each element's run starts
+        out = []
+        for end in (1, 0):
+            order = np.argsort(self.covers[:, end], kind="stable")
+            starts = np.searchsorted(self.covers[order, end],
+                                     np.arange(len(self.labels) + 1))
+            out.append((self.covers[order, 1 - end], starts))
+        return tuple(out)
+
+    def _adjacent_to(self, side: int, i: int) -> list[int]:
+        i = range(len(self.labels))[i]
+        others, starts = self._adjacent[side]
+        return others[starts[i]:starts[i + 1]].tolist()
 
     def index(self, label: CellLabel) -> int:
         try:
@@ -191,29 +270,19 @@ class FacePoset:
             raise KeyError("label %s not in poset" % label) from None
 
     def elements_of_dim(self, k: int) -> list[int]:
-        return [i for i, dim in enumerate(self.dims) if dim == k]
+        return np.flatnonzero(self.dims == k).tolist()
 
     def f_vector(self) -> tuple[int, ...]:
-        top = max(self.dims)
-        counts = [0] * (top + 1)
-        for dim in self.dims:
-            counts[dim] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.dims).tolist())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector()))
 
     def lower_covers(self, i: int) -> list[int]:
-        return list(self._adjacent[0][i])
+        return self._adjacent_to(0, i)
 
     def upper_covers(self, i: int) -> list[int]:
-        return list(self._adjacent[1][i])
-
-
-def _dimension(label: CellLabel, kind: str) -> int:
-    if kind == KIND_COMPLEMENT:
-        return cell_dimension(label)
-    return stratum_dimension(label)
+        return self._adjacent_to(1, i)
 
 
 def gov_arrays(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -257,6 +326,39 @@ def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
     return cond_block(g_lo, g_hi, gt_hi)
 
 
+def gov_rows(rows: np.ndarray) -> np.ndarray:
+    """Governing indices of label rows (sigma, seps) as an (M, n, n) array:
+    entry [k, m] of a row's position matrix, the least separator between
+    positions k < m, lands at [sigma[k] - 1, sigma[m] - 1]."""
+    n = (rows.shape[1] + 1) // 2
+    sigma = rows[:, :n].astype(np.intp) - 1
+    pos = np.zeros((len(rows), n, n), dtype=rows.dtype)
+    for k in range(n - 1):
+        pos[:, k, k + 1:] = np.minimum.accumulate(rows[:, n + k:], axis=1)
+    gov = np.empty_like(pos)
+    gov[np.arange(len(rows))[:, None, None], sigma[:, :, None], sigma[:, None, :]] = pos
+    return gov
+
+
+def cond_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cond(x_i, y_i) for each i, on gov arrays from `gov_rows`."""
+    yt = y.transpose(0, 2, 1)
+    ok = (x == 0) | ((y > 0) & (y <= x)) | ((yt > 0) & (yt < x))
+    return ok.reshape(len(x), -1).all(axis=1)
+
+
+def _leq(kind: str, lower: np.ndarray, upper: np.ndarray,
+         chunk: int = 1 << 15) -> np.ndarray:
+    """For each row i, whether label row lower[i] lies in the closure of
+    label row upper[i]."""
+    out = np.empty(len(lower), dtype=bool)
+    for s in range(0, len(lower), chunk):
+        lo, hi = gov_rows(lower[s:s + chunk]), gov_rows(upper[s:s + chunk])
+        out[s:s + chunk] = (cond_rows(hi, lo) if kind == KIND_COMPLEMENT
+                            else cond_rows(lo, hi))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _moves(seps) -> tuple:
     """The faces of `boundary` for the separator word seps, as pairs
@@ -295,31 +397,52 @@ def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(get(sigma), gaps) for get, gaps in _moves(tuple(seps))]
 
 
+def _covers(perms, words, keep, up: bool) -> np.ndarray:
+    """Covering pairs (lo, hi), sorted, of the labels of `_label_rows`: each
+    label's `boundary` faces are its lower covers, or its upper covers when
+    `up`.  The faces of (identity, word) are position maps: each is applied
+    to all permutations at once and ranked, once per distinct map.  A label
+    has index `number` at its key lexrank(sigma) * W + rank(seps)."""
+    width = len(words)
+    word_rank = {w: i for i, w in enumerate(map(tuple, words.tolist()))}
+    number = np.cumsum(keep.ravel()) - 1
+    base = np.arange(len(perms), dtype=np.int64) * width
+    identity = tuple(range(1, perms.shape[1] + 1))
+    ranks = {}
+    ends = ([], [])
+    for i, word in enumerate(word_rank):
+        rows = keep[:, i]
+        labels = number[base[rows] + i]
+        for places, face in boundary(identity, word):
+            if places not in ranks:
+                ranks[places] = _lexrank(perms[:, np.array(places) - 1]) * width
+            faces = number[ranks[places][rows] + word_rank[face]]
+            ends[0].append(labels if up else faces)
+            ends[1].append(faces if up else labels)
+    if not ends[0]:
+        return np.zeros((0, 2), dtype=np.int64)
+    count = int(number[-1]) + 1
+    key = np.concatenate(ends[0]) * count + np.concatenate(ends[1])
+    key.sort()
+    return np.stack(np.divmod(key, count), axis=1)
+
+
 def enumerate_cells(d: int, n: int, kind: str = KIND_COMPLEMENT,
                     budget: int | None = None) -> FacePoset:
     """Build the full graded poset with covering relations.
 
     Both kinds take their covers from `boundary`: the faces it lists are a
     cell's lower covers and a stratum's upper covers (see the module
-    docstring).
+    docstring).  The budget bounds the covers as well as the labels.
     """
-    labels = enumerate_labels(d, n, kind, budget=budget)
-    dims = tuple(_dimension(lab, kind) for lab in labels)
-    index = {(lab.sigma, lab.seps): i for i, lab in enumerate(labels)}
-    up = kind == KIND_STRATIFICATION
-    covers = sorted((i, j) if up else (j, i) for i, lab in enumerate(labels)
-                    for j in map(index.__getitem__, boundary(lab.sigma, lab.seps)))
-    return FacePoset(kind=kind, d=d, n=n, elements=tuple(labels), dims=dims,
-                     covers=tuple(covers))
-
-
-def _leq(kind: str, a: CellLabel, b: CellLabel) -> bool:
-    """Non-strict order used by both posets: a lies in the closure of b."""
-    if a == b:
-        return True
-    if kind == KIND_COMPLEMENT:
-        return is_face_complement(a, b)
-    return is_face_stratification(b, a)
+    _check_args(d, n, kind)
+    _check_budget(d, n, kind, budget, covers=True)
+    perms, words, keep = _kind_grid(d, n, kind)
+    labels = _label_rows(perms, words, keep)
+    total = labels[:, n:].sum(axis=1, dtype=np.int64)
+    dims = total - (n - 1) if kind == KIND_COMPLEMENT else (d + 1) * (n - 1) - total
+    covers = _covers(perms, words, keep, up=kind == KIND_STRATIFICATION)
+    return FacePoset(kind=kind, d=d, n=n, labels=labels, dims=dims, covers=covers)
 
 
 def _cover_count(seps) -> int:
@@ -341,42 +464,45 @@ def validate_covers(poset: FacePoset) -> None:
     """Check the stored covering pairs locally, independently of `boundary`.
 
     Raises ValueError if a pair is stored twice, is not one dimension apart
-    or fails the scalar face test; if an element has other than
-    `_cover_count(seps)` covers below it (cells) or above it (strata); or if
-    an interval of length two through stored covers has other than two
-    middle elements.  Passing pairs are true covers, so the counts show none
-    is missing.  Nothing can lie strictly between a face pair one dimension
-    apart, as dimension grows strictly along the order, so that goes unscanned.
+    or fails the face test; if an element has other than `_cover_count(seps)`
+    covers below it (cells) or above it (strata); or if an interval of length
+    two through stored covers has other than two middle elements.  Passing
+    pairs are true covers, so the counts show none is missing.  Nothing can
+    lie strictly between a face pair one dimension apart, as dimension grows
+    strictly along the order, so that goes unscanned.
     """
-    elems, dims, kind = poset.elements, poset.dims, poset.kind
-    if len(set(poset.covers)) != len(poset.covers):
+    labels, dims, size = poset.labels, poset.dims, len(poset.labels)
+    lo, hi = poset.covers.T
+    key = np.sort(lo * size + hi)
+    if (key[1:] == key[:-1]).any():
         raise ValueError("a cover is stored twice")
-    for lo, hi in poset.covers:
-        if dims[hi] != dims[lo] + 1:
-            raise ValueError(f"cover ({lo},{hi}) has dimension gap != 1")
-        if not _leq(kind, elems[lo], elems[hi]):
-            raise ValueError(f"cover ({lo},{hi}) is not a face pair")
-    lower, upper = poset._adjacent
-    faces = lower if kind == KIND_COMPLEMENT else upper
-    for i, lab in enumerate(elems):
-        want = _cover_count(lab.seps)
-        if len(faces[i]) != want:
-            raise ValueError(f"element {i} has {len(faces[i])} covers, expected {want}")
-    for x in range(len(elems)):
-        mids = Counter(z for y in upper[x] for z in upper[y])
-        for z, count in mids.items():
-            if count != 2:
-                raise ValueError(f"interval ({x},{z}) has {count} middle elements")
+    for c in np.flatnonzero(dims[hi] != dims[lo] + 1)[:1]:
+        raise ValueError(f"cover ({lo[c]},{hi[c]}) has dimension gap != 1")
+    for c in np.flatnonzero(np.logical_not(_leq(poset.kind, labels[lo], labels[hi])))[:1]:
+        raise ValueError(f"cover ({lo[c]},{hi[c]}) is not a face pair")
+    words, of_word = np.unique(labels[:, poset.n:], axis=0, return_inverse=True)
+    want = np.array([_cover_count(w) for w in map(tuple, words.tolist())])[of_word]
+    have = np.bincount(hi if poset.kind == KIND_COMPLEMENT else lo, minlength=size)
+    for i in np.flatnonzero(have != want)[:1]:
+        raise ValueError(f"element {i} has {have[i]} covers, expected {want[i]}")
+    # every path x < y < z through stored covers, as the pair (x, z)
+    ups, starts = poset._adjacent[1]
+    steps = starts[hi + 1] - starts[hi]
+    first = np.cumsum(steps) - steps
+    z = ups[np.repeat(starts[hi] - first, steps) + np.arange(steps.sum())]
+    ends, mids = np.unique(np.repeat(lo, steps) * size + z, return_counts=True)
+    for e in np.flatnonzero(mids != 2)[:1]:
+        x, z = divmod(int(ends[e]), size)
+        raise ValueError(f"interval ({x},{z}) has {mids[e]} middle elements")
 
 
 def f_vector(d: int, n: int, budget: int | None = None) -> tuple[int, ...]:
     """Cell counts of the compact complex by dimension 0..(d-1)(n-1)."""
-    labels = enumerate_labels(d, n, KIND_COMPLEMENT, budget=budget)
-    top = (d - 1) * (n - 1)
-    counts = [0] * (top + 1)
-    for lab in labels:
-        counts[cell_dimension(lab)] += 1
-    return tuple(counts)
+    _check_args(d, n, KIND_COMPLEMENT)
+    _check_budget(d, n, KIND_COMPLEMENT, budget)
+    _, words, _ = _kind_grid(d, n, KIND_COMPLEMENT)
+    dims = words.sum(axis=1, dtype=np.int64) - (n - 1)
+    return tuple((factorial(n) * np.bincount(dims)).tolist())
 
 
 def euler_characteristic(d: int, n: int, budget: int | None = None) -> int:
@@ -384,25 +510,54 @@ def euler_characteristic(d: int, n: int, budget: int | None = None) -> int:
     return sum((-1) ** k * c for k, c in enumerate(fv))
 
 
-def poset_payload(poset: FacePoset) -> dict:
-    """Plain-data form of a poset, matching the JSON export schema."""
-    return {
-        "d": poset.d,
-        "n": poset.n,
-        "kind": poset.kind,
-        "elements": [
-            {"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
-            for lab, dim in zip(poset.elements, poset.dims)
-        ],
-        "covers": [[lo, hi] for lo, hi in poset.covers],
-    }
+def _filled(template: str, sep: str, rows: np.ndarray, chunk: int = 4096):
+    """Text of `template` filled from each int row and joined by sep, in
+    chunks of up to `chunk` rows."""
+    for s in range(0, len(rows), chunk):
+        part = rows[s:s + chunk]
+        yield (sep if s else "") + sep.join([template] * len(part)) % tuple(
+            part.ravel().tolist())
+
+
+def _json_ints(k: int, pad: int) -> str:
+    # template of a JSON list of k ints laid out as jsonio.dumps lays it out
+    return ("[\n" + ",\n".join([" " * (pad + 2) + "%d"] * k) + "\n"
+            + " " * pad + "]")
+
+
+def poset_json_chunks(poset: FacePoset):
+    """The JSON export of a poset, in chunks of text: d, n, kind, then each
+    element's sigma, seps and dim, then the covering pairs, in the layout of
+    `jsonio.dumps`."""
+    n = poset.n
+    element = ('    {\n      "sigma": ' + _json_ints(n, 6) + ',\n      "seps": '
+               + _json_ints(n - 1, 6) + ',\n      "dim": %d\n    }')
+    yield ('{\n  "d": %d,\n  "n": %d,\n  "kind": %s,\n  "elements": [\n'
+           % (poset.d, n, json.dumps(poset.kind)))
+    yield from _filled(element, ",\n", np.column_stack([poset.labels, poset.dims]))
+    if not len(poset.covers):
+        yield '\n  ],\n  "covers": []\n}\n'
+        return
+    yield '\n  ],\n  "covers": [\n'
+    yield from _filled("    " + _json_ints(2, 4), ",\n", poset.covers)
+    yield "\n  ]\n}\n"
+
+
+def poset_csv_chunks(poset: FacePoset):
+    """The CSV export of a poset, in chunks of text: one `index,dim,label`
+    row per element, the label as `CellLabel.to_string` writes it."""
+    n = poset.n
+    order = [c for k in range(n - 1) for c in (k, n + k)] + [n - 1]
+    rows = np.column_stack([np.arange(len(poset.labels)), poset.dims,
+                            poset.labels[:, order]])
+    yield "index,dim,label\n"
+    yield from _filled("%d,%d," + "%d<%d " * (n - 1) + "%d", "\n", rows)
+    yield "\n"
 
 
 def poset_to_json(poset: FacePoset) -> str:
-    """Serialize a poset deterministically (17 significant digit reals are
-    irrelevant here, but the shared encoder keeps key order and layout fixed)."""
-    from .jsonio import dumps
-    return dumps(poset_payload(poset))
+    """Serialize a poset deterministically (key order and layout fixed)."""
+    return "".join(poset_json_chunks(poset))
 
 
 def poset_from_json(data) -> FacePoset:
@@ -410,8 +565,8 @@ def poset_from_json(data) -> FacePoset:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     d, n, kind = data["d"], data["n"], data["kind"]
-    labels = tuple(CellLabel(tuple(e["sigma"]), tuple(e["seps"]), d)
-                   for e in data["elements"])
-    dims = tuple(e["dim"] for e in data["elements"])
-    covers = tuple((int(lo), int(hi)) for lo, hi in data["covers"])
-    return FacePoset(kind=kind, d=d, n=n, elements=labels, dims=dims, covers=covers)
+    rows = np.array([e["sigma"] + e["seps"] for e in data["elements"]], dtype=np.int64)
+    poset = FacePoset(kind=kind, d=d, n=n, labels=rows.reshape(-1, 2 * n - 1),
+                      dims=[e["dim"] for e in data["elements"]], covers=data["covers"])
+    poset.elements  # builds each CellLabel, which validates its row
+    return poset

@@ -13,6 +13,12 @@ from equicell.poset import face_matrix
 from equicell.powerdiagram import _as_site_tuple
 
 
+def as_tuples(arr):
+    """A poset's dims or covers array as the tuple of ints or of (lo, hi)
+    pairs that the poset held before it held arrays."""
+    return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+
+
 def order_matrix(poset):
     """Reflexive boolean matrix L with L[i, j] = (element i <= element j)."""
     els = list(poset.elements)
@@ -101,10 +107,12 @@ def random_sites_inside(rng, polygon, n, margin=0.03):
     """n distinct random points inside the polygon via rejection sampling.
 
     The boundary margin halves whenever draws starve, so thin polygons still
-    terminate.
+    terminate.  Sites are at least 1e-3 * sqrt(area) apart, which scales
+    with the polygon.
     """
     x0, y0, x1, y1 = polygon.bbox
     floor = margin * np.sqrt(polygon.area)
+    apart = 1e-6 * polygon.area
     out = []
     tries = 0
     while len(out) < n:
@@ -114,7 +122,7 @@ def random_sites_inside(rng, polygon, n, margin=0.03):
         p = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
         if boundary_distance(polygon, p) < floor:
             continue
-        if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < 1e-6 for q in out):
+        if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < apart for q in out):
             continue
         out.append(p)
     return tuple(out)

@@ -97,6 +97,24 @@ class TestComplex:
         assert res.stderr.startswith("error:") and "non-negative" in res.stderr
         assert not out.exists()
 
+    def test_budget_names_labels_or_covers(self):
+        # (2, 4) has 192 labels and 864 covers
+        res = run_cli("complex", "--d", "2", "--n", "4", "--budget", "191")
+        assert res.returncode == 2
+        assert "needs 192 labels, budget is 191" in res.stderr
+        res = run_cli("complex", "--d", "2", "--n", "4", "--budget", "863")
+        assert res.returncode == 2
+        assert "needs 864 covers, budget is 863" in res.stderr
+        res = run_cli("complex", "--d", "2", "--n", "4", "--budget", "864")
+        assert res.returncode == 0 and "covers=864" in res.stdout
+
+    def test_default_budget_refuses_three_seven_at_once(self):
+        # 3,674,160 labels fit the default budget, 49,633,920 covers do not
+        res = run_cli("complex", "--d", "3", "--n", "7")
+        assert res.returncode == 2
+        assert res.stderr == ("error: enumeration of (d=3, n=7, complement) needs "
+                              "49633920 covers, budget is 5000000\n")
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("complex", "--d", "2", "--n", "4", "--output", str(a))
@@ -335,6 +353,31 @@ class TestEquipart:
         doc = json.loads(out.read_text())
         assert doc["converged"] is False
         assert len(doc["weights"]) == 5
+
+    def test_overflowing_polygon_rejected(self, tmp_path):
+        # area, perimeter and extent overflow; equalize used to end in an
+        # OverflowError traceback
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "equalize", "n": 3,
+             "polygon": [[0, 0], [1e200, 0], [0, 1e200]]}))
+
+    def test_search_without_equal_area_diagram_fails_cleanly(
+            self, tmp_path, monkeypatch, capsys):
+        from equicell import cli, equalize, WeightSolveError
+
+        def never(*args, **kwargs):
+            raise WeightSolveError("no weights")
+
+        monkeypatch.setattr(equalize, "solve_equal_measure_weights", never)
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "equalize", "polygon": SQUARE, "n": 2})
+        out = tmp_path / "out.json"
+        code = cli.main(["equipart", "--input", fixture, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: no equal-area diagram in ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_tol_precedence_flag_over_file(self, tmp_path):
         fixture = self.weights_fixture(tmp_path, tol=1e-30)

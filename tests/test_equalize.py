@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import support
-from equicell import (ConvexPolygon, Sites, equalize_perimeters, power_diagram,
-                      solve_equal_measure_weights)
-from equicell.equalize import _gauge_complement
+from equicell import (ConvexPolygon, Sites, WeightSolveError, equalize_perimeters,
+                      perimeter_spread, power_diagram, solve_equal_measure_weights)
+from equicell import equalize
+from equicell.equalize import EqualizeError, _gauge_complement
 
 SQUARE = support.UNIT_SQUARE
 QUADRILATERAL = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.6, 1.1), (0.2, 0.8)))
@@ -74,6 +75,45 @@ class TestEqualize:
             res = equalize_perimeters(QUADRILATERAL, 3, tol=1e-6, seed=seed,
                                       max_evals=3000)
             assert res.converged
+
+
+class TestSearchEnds:
+    def test_failed_polish_returns_the_best_iterate(self, monkeypatch):
+        polished = equalize_perimeters(SQUARE, 2, tol=1e-6, seed=0)
+        real = equalize.solve_equal_measure_weights
+        polish_starts = []
+
+        def failing_polish(polygon, sites, tol, **kwargs):
+            if tol == 1e-12:
+                polish_starts.append(kwargs["w0"])
+                raise WeightSolveError("polish failed")
+            return real(polygon, sites, tol=tol, **kwargs)
+
+        monkeypatch.setattr(equalize, "solve_equal_measure_weights", failing_polish)
+        res = equalize_perimeters(SQUARE, 2, tol=1e-6, seed=0)
+        assert len(polish_starts) == 1
+        assert res.sites == polished.sites
+        assert res.evaluations == polished.evaluations
+        assert res.weights.values == tuple(polish_starts[0])
+        assert res.diagram == power_diagram(SQUARE, res.sites, res.weights)
+        assert res.spread == perimeter_spread(res.diagram)
+        assert res.converged == (res.spread <= 1e-6)
+
+    def test_no_equal_area_diagram_is_an_equalize_error(self, monkeypatch):
+        with pytest.raises(EqualizeError):
+            equalize_perimeters(SQUARE, 2, max_evals=0)
+
+        def never(*args, **kwargs):
+            raise WeightSolveError("no weights")
+
+        monkeypatch.setattr(equalize, "solve_equal_measure_weights", never)
+        with pytest.raises(EqualizeError, match="in 50 weight solves"):
+            equalize_perimeters(SQUARE, 3, max_evals=50)
+
+    def test_overflowing_polygon_rejected(self):
+        huge = ConvexPolygon(((0.0, 0.0), (1e200, 0.0), (0.0, 1e200)))
+        with pytest.raises(ValueError, match="overflows"):
+            equalize_perimeters(huge, 3)
 
 
 class TestGauge:

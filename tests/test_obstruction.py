@@ -93,6 +93,12 @@ class TestIncidenceVectors:
             assert counts.shape == (len(top_cells(d, n)), n - 1)
             assert (counts == np.array(want)).all()
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_class_counts_are_the_binomial_row(self, n):
+        counts = facet_ridge_class_counts(2, n)
+        assert counts.shape == (len(top_cells(2, n)), n - 1)
+        assert (counts == np.array(expected_incidence_row(n))).all()
+
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
     def test_class_counts_match_dense_face_test(self, d, n):
         ridges = ridge_cells(d, n)

@@ -2,20 +2,24 @@
 and JSON export of cell posets."""
 
 import json
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
 import pytest
 
 import support
-from equicell import (BudgetExceededError, CellLabel, FacePoset,
+from equicell import (BudgetExceededError, CellLabel,
                       InvalidLabelError, KIND_COMPLEMENT, KIND_STRATIFICATION,
                       enumerate_cells, enumerate_labels, euler_characteristic,
                       f_vector, group_action, is_face_complement,
                       is_face_stratification, poset_from_json, poset_to_json,
                       resolve_budget, stratum_dimension, validate_covers)
 from equicell import poset as poset_module
-from equicell.poset import _cover_count, boundary, face_matrix, label_count_bound
+from equicell import cli, jsonio
+from equicell.poset import (_cond_pair, _cover_count, _leq, boundary, cond_rows,
+                            cover_count, face_matrix, gov_rows,
+                            label_count_bound, poset_csv_chunks)
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -135,7 +139,7 @@ class TestPosetStructure:
     def test_zero_dimensional_complex_has_no_covers(self):
         p = enumerate_cells(1, 3)
         assert len(p.elements) == 6
-        assert p.covers == ()
+        assert support.as_tuples(p.covers) == ()
 
     def test_cover_validation_passes(self):
         for d, n, kind in [(2, 3, KIND_COMPLEMENT), (3, 3, KIND_COMPLEMENT),
@@ -144,19 +148,17 @@ class TestPosetStructure:
 
     def test_cover_validation_rejects_missing_pair(self):
         p = enumerate_cells(2, 3)
-        broken = FacePoset(kind=p.kind, d=p.d, n=p.n, elements=p.elements,
-                           dims=p.dims, covers=p.covers[:-1])
+        broken = replace(p, covers=p.covers[:-1])
         with pytest.raises(ValueError):
             validate_covers(broken)
 
     def test_cover_validation_rejects_bogus_pair(self):
         p = enumerate_cells(2, 3)
-        dims = p.dims
+        dims, covers = support.as_tuples(p.dims), support.as_tuples(p.covers)
         lo = dims.index(0)
         hi = next(i for i in range(len(dims))
-                  if dims[i] == 1 and (lo, i) not in set(p.covers))
-        broken = FacePoset(kind=p.kind, d=p.d, n=p.n, elements=p.elements,
-                           dims=p.dims, covers=p.covers + ((lo, hi),))
+                  if dims[i] == 1 and (lo, i) not in set(covers))
+        broken = replace(p, covers=covers + ((lo, hi),))
         with pytest.raises(ValueError):
             validate_covers(broken)
 
@@ -223,7 +225,7 @@ class TestBoundary:
     @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (2, 4), (2, 5), (3, 3),
                                      (3, 4), (4, 3), (4, 4)])
     def test_covers_match_dense_face_test(self, d, n):
-        assert enumerate_cells(d, n).covers == dense_covers(d, n)
+        assert support.as_tuples(enumerate_cells(d, n).covers) == dense_covers(d, n)
 
 
 STRATA_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5),
@@ -233,7 +235,7 @@ STRATA_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5),
 class TestStrataCovers:
     @pytest.mark.parametrize("d,n", STRATA_SIZES)
     def test_covers_match_dense_face_test(self, d, n):
-        assert enumerate_cells(d, n, KIND_STRATIFICATION).covers == \
+        assert support.as_tuples(enumerate_cells(d, n, KIND_STRATIFICATION).covers) == \
             dense_covers(d, n, KIND_STRATIFICATION)
 
     def test_faces_are_upper_covers(self):
@@ -245,15 +247,14 @@ class TestStrataCovers:
 
 
 def broken(p, covers):
-    return FacePoset(kind=p.kind, d=p.d, n=p.n, elements=p.elements,
-                     dims=p.dims, covers=tuple(covers))
+    return replace(p, covers=tuple(covers))
 
 
 def moved_cover(p):
     """The covers of p with one pair moved to a non-face of the same element
     (its lower end for cells, its upper end for strata), so that every count
     the check makes stays the same."""
-    covers = list(p.covers)
+    covers = list(support.as_tuples(p.covers))
     lo, hi = covers[0]
     if p.kind == KIND_COMPLEMENT:
         other = next(i for i in p.elements_of_dim(p.dims[lo])
@@ -288,21 +289,22 @@ class TestLocalValidation:
             validate_covers(broken(poset, poset.covers[1:]))
 
     def test_rejects_extra_non_face(self, poset):
-        covers, dims = set(poset.covers), poset.dims
+        covers, dims = support.as_tuples(poset.covers), poset.dims
         extra = next((lo, hi) for lo in range(len(dims)) for hi in range(len(dims))
-                     if dims[hi] == dims[lo] + 1 and (lo, hi) not in covers)
+                     if dims[hi] == dims[lo] + 1 and (lo, hi) not in set(covers))
         with pytest.raises(ValueError, match="not a face pair"):
-            validate_covers(broken(poset, poset.covers + (extra,)))
+            validate_covers(broken(poset, covers + (extra,)))
 
     def test_rejects_pair_two_dimensions_apart(self, poset):
         lo, hi = next((lo, hi) for lo, mid in poset.covers
                       for hi in poset.upper_covers(mid))
         with pytest.raises(ValueError, match="dimension gap"):
-            validate_covers(broken(poset, poset.covers + ((lo, hi),)))
+            validate_covers(broken(poset, support.as_tuples(poset.covers) + ((lo, hi),)))
 
     def test_rejects_duplicated_cover(self, poset):
+        covers = support.as_tuples(poset.covers)
         with pytest.raises(ValueError, match="stored twice"):
-            validate_covers(broken(poset, poset.covers + poset.covers[:1]))
+            validate_covers(broken(poset, covers + covers[:1]))
 
     def test_rejects_moved_cover(self, poset):
         with pytest.raises(ValueError, match="not a face pair"):
@@ -410,3 +412,93 @@ class TestJson:
         doc = json.loads(poset_to_json(p))
         for el, dim in zip(doc["elements"], p.dims):
             assert el["dim"] == dim
+
+
+def generic_json(p):
+    """The JSON export through the generic encoder, built from CellLabels."""
+    return jsonio.dumps({
+        "d": p.d, "n": p.n, "kind": p.kind,
+        "elements": [{"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
+                     for lab, dim in zip(p.elements, p.dims.tolist())],
+        "covers": [list(pair) for pair in p.covers.tolist()]})
+
+
+class TestColumnar:
+    @pytest.mark.parametrize("d,n,kind", [(2, 4, KIND_COMPLEMENT),
+                                          (1, 4, KIND_STRATIFICATION),
+                                          (2, 3, KIND_STRATIFICATION)])
+    def test_face_test_matches_scalar_on_all_pairs(self, d, n, kind):
+        p = enumerate_cells(d, n, kind)
+        gov = gov_rows(p.labels)
+        assert [tuple(g.ravel().tolist()) for g in gov] == [lab.gov for lab in p.elements]
+        size = len(p.labels)
+        x, y = np.repeat(np.arange(size), size), np.tile(np.arange(size), size)
+        want = [_cond_pair(p.elements[i], p.elements[j])
+                for i, j in zip(x.tolist(), y.tolist())]
+        assert cond_rows(gov[x], gov[y]).tolist() == want
+        scalar = [is_face_complement(p.elements[i], p.elements[j])
+                  if kind == KIND_COMPLEMENT else
+                  is_face_stratification(p.elements[j], p.elements[i])
+                  for i, j in zip(x.tolist(), y.tolist())]
+        assert _leq(kind, p.labels[x], p.labels[y], chunk=1000).tolist() == scalar
+
+    @pytest.mark.parametrize("d,n,kind", [(1, 2, KIND_COMPLEMENT), (1, 3, KIND_COMPLEMENT),
+                                          (2, 2, KIND_COMPLEMENT), (3, 5, KIND_COMPLEMENT),
+                                          (1, 3, KIND_STRATIFICATION),
+                                          (2, 4, KIND_STRATIFICATION)])
+    def test_exports_match_the_generic_writers(self, d, n, kind):
+        p = enumerate_cells(d, n, kind)
+        text = poset_to_json(p)
+        assert text == generic_json(p)
+        assert poset_from_json(text) == p
+        rows = ["%d,%d,%s" % (i, dim, lab.to_string())
+                for i, (lab, dim) in enumerate(zip(p.elements, p.dims.tolist()))]
+        assert "".join(poset_csv_chunks(p)) == "\n".join(["index,dim,label"] + rows) + "\n"
+
+    def test_labels_built_only_on_request(self):
+        p = enumerate_cells(2, 4)
+        assert p.f_vector() == (24, 72, 72, 24) and p.euler_characteristic() == 0
+        assert p.lower_covers(5) == [1, 4, 12, 49] and p.lower_covers(0) == []
+        validate_covers(p)
+        assert "".join(poset_csv_chunks(p)) and poset_to_json(p)
+        assert "elements" not in vars(p)
+        assert len(p.elements) == len(p.labels) == 192
+        assert p.elements == tuple(enumerate_labels(2, 4))
+
+    def test_adjacency_matches_covers(self):
+        p = enumerate_cells(2, 4, KIND_STRATIFICATION)
+        pairs = support.as_tuples(p.covers)
+        for i in range(len(p.labels)):
+            assert p.lower_covers(i) == [lo for lo, hi in pairs if hi == i]
+            assert p.upper_covers(i) == [hi for lo, hi in pairs if lo == i]
+        with pytest.raises(IndexError):
+            p.lower_covers(len(p.labels))
+        assert p.upper_covers(-1) == p.upper_covers(len(p.labels) - 1)
+
+    @pytest.mark.parametrize("d,n,kind", [(2, 5, KIND_COMPLEMENT), (3, 4, KIND_COMPLEMENT),
+                                          (1, 5, KIND_STRATIFICATION),
+                                          (2, 4, KIND_STRATIFICATION),
+                                          (2, 5, KIND_STRATIFICATION),
+                                          (3, 4, KIND_STRATIFICATION)])
+    def test_cover_count_is_exact(self, d, n, kind):
+        assert cover_count(d, n, kind) == len(enumerate_cells(d, n, kind).covers)
+
+    def test_budget_bounds_covers(self):
+        with pytest.raises(BudgetExceededError, match="needs 864 covers"):
+            enumerate_cells(2, 4, budget=863)
+        assert len(enumerate_cells(2, 4, budget=864).covers) == 864
+        # labels alone are checked where no covers are built
+        assert len(enumerate_labels(2, 4, budget=192)) == 192
+
+    def test_streamed_output_is_atomic(self, tmp_path):
+        target = tmp_path / "poset.json"
+        target.write_text("old")
+
+        def failing():
+            yield "partial"
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._emit(failing(), str(target))
+        assert target.read_text() == "old"
+        assert [f.name for f in tmp_path.iterdir()] == ["poset.json"]

@@ -311,3 +311,13 @@ class TestSkippedClips:
         diagram = power_diagram(SQUARE, sites)
         assert sum(diagram.areas) == pytest.approx(1.0, rel=1e-12)
         assert len(calls) < 0.3 * n * (n - 1)
+
+
+class TestSupport:
+    def test_random_sites_inside_a_tiny_triangle(self):
+        # the spacing floor scales with the polygon, so a triangle 1e-6
+        # across still takes five sites
+        tiny = ConvexPolygon(((0.0, 0.0), (1e-6, 0.0), (0.0, 1e-6)))
+        sites = support.random_sites_inside(np.random.default_rng(0), tiny, 5)
+        assert len(set(sites)) == 5
+        assert all(support.boundary_distance(tiny, p) > 0 for p in sites)
