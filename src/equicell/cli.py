@@ -107,8 +107,8 @@ def cmd_complex(args) -> int:
 
 def cmd_obstruction(args) -> int:
     try:
-        rep = obstruction_report(args.d, args.n)
-    except ValueError as e:
+        rep = obstruction_report(args.d, args.n, budget=args.budget)
+    except (BudgetExceededError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
     print("n=%d d=%d gcd=%d group=%s map_exists=%s"
           % (rep.n, rep.d, rep.gcd, rep.group, rep.map_exists))

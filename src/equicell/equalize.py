@@ -86,7 +86,7 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
 
     def evaluate(x, w0):
         # (perimeters - mean, weights) at sites x; None when the budget is
-        # spent, the sites coincide, the weight solve fails or a cell is empty
+        # spent, the sites coincide or the weight solve fails
         nonlocal evals
         if evals >= max_evals:
             return None
@@ -98,10 +98,7 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
                                                      return_stats=True)
         except (WeightSolveError, ValueError):
             return None
-        diag = stats["diagram"]
-        if any(c is None for c in diag.cells):
-            return None
-        p = np.array(diag.perimeters)
+        p = np.array(stats["diagram"].perimeters)
         return p - p.mean(), wts.values
 
     def gauss_newton_step(x, r, w):

@@ -13,13 +13,14 @@ when n is not a prime power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
 from .labels import CellLabel, InvalidLabelError
-from .poset import (FacePoset, _cell_labels, _check_budget, _grid, _label_rows,
-                    KIND_COMPLEMENT, boundary, cond_rows, gov_rows)
+from .poset import (BudgetExceededError, FacePoset, _cell_labels, _check_budget, _grid,
+                    _label_rows, KIND_COMPLEMENT, boundary, cond_rows, gov_rows,
+                    resolve_budget)
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,11 @@ def binomial_gcd(n: int) -> int:
 
     By Kummer's theorem C(n, q**v) is prime to q when q**v is the exact power
     of a prime q dividing n and n != q**v.  So the gcd, a divisor of
-    C(n, 1) = n, is 1 unless n is a power of a prime p; then it is p raised
-    to the least valuation in the row, which C(n, n/p) attains.
+    C(n, 1) = n, is 1 unless n = p**k; then C(n, p**(k-1)) has p-valuation 1
+    (one carry adding p**(k-1) to (p-1) p**(k-1) in base p), and the gcd is p.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    p = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        return 1
-    return p ** binomial_valuation(n, n // p, p)
+    pp = prime_power(n)
+    return pp[0] if pp else 1
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -187,13 +181,18 @@ def coboundary_witness(n: int) -> RidgeOrbitCochain:
     return RidgeOrbitCochain(n, tuple(coeffs))
 
 
-def obstruction_report(d: int, n: int) -> ObstructionReport:
-    """Run the full decision for n points in R^d."""
+def obstruction_report(d: int, n: int, budget: int | None = None) -> ObstructionReport:
+    """Run the full decision for n points in R^d.  When the map exists, its
+    witness has n - 1 entries, which must fit in the budget."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    g = binomial_gcd(n)
     pp = prime_power(n)
+    g = pp[0] if pp else 1
     exists = g == 1
+    limit = resolve_budget(budget)
+    if exists and n - 1 > limit:
+        raise BudgetExceededError("the witness for n=%d needs %d entries, budget is %d"
+                                  % (n, n - 1, limit))
     witness = coboundary_witness(n) if exists else None
     group = "trivial" if g == 1 else "Z/%d" % g
     return ObstructionReport(d=d, n=n, gcd=g, prime_power=pp, group=group,

@@ -285,47 +285,6 @@ class FacePoset:
         return self._adjacent_to(1, i)
 
 
-def gov_arrays(labels) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked governing-index rows and their transposed-pair companions."""
-    n = labels[0].n
-    g = np.array([lab.gov for lab in labels], dtype=np.int16)
-    perm = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return g, g[:, perm]
-
-
-def cond_block(quant: np.ndarray, against: np.ndarray, against_t: np.ndarray,
-               chunk: int = 64) -> np.ndarray:
-    """Boolean matrix C with C[i, j] = cond(label_i of quant, label_j of against).
-
-    quant rows supply the quantified pairs; against/against_t are the gov rows
-    of the other side and their transposed-pair rearrangement.
-    """
-    q = quant.shape[0]
-    a = against.shape[0]
-    out = np.empty((q, a), dtype=bool)
-    same = (against > 0)
-    opp = (against_t > 0)
-    for s in range(0, q, chunk):
-        blk = quant[s:s + chunk][:, None, :]          # (c, 1, p)
-        ok = ((blk == 0)
-              | (same[None, :, :] & (against[None, :, :] <= blk))
-              | (opp[None, :, :] & (against_t[None, :, :] < blk)))
-        out[s:s + chunk] = ok.all(axis=2)
-    return out
-
-
-def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
-    """Boolean matrix F with F[i, j] = (lowers[i] is a face of uppers[j])."""
-    if not lowers or not uppers:
-        return np.zeros((len(lowers), len(uppers)), dtype=bool)
-    g_lo, gt_lo = gov_arrays(lowers)
-    g_hi, gt_hi = gov_arrays(uppers)
-    if kind == KIND_COMPLEMENT:
-        # quantify over the upper label's pairs, test against the lower label
-        return cond_block(g_hi, g_lo, gt_lo).T
-    return cond_block(g_lo, g_hi, gt_hi)
-
-
 def gov_rows(rows: np.ndarray) -> np.ndarray:
     """Governing indices of label rows (sigma, seps) as an (M, n, n) array:
     entry [k, m] of a row's position matrix, the least separator between
@@ -341,10 +300,25 @@ def gov_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def cond_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """cond(x_i, y_i) for each i, on gov arrays from `gov_rows`."""
-    yt = y.transpose(0, 2, 1)
+    """cond(x, y) on gov arrays from `gov_rows`, broadcast over all but
+    the last two axes."""
+    yt = np.swapaxes(y, -1, -2)
     ok = (x == 0) | ((y > 0) & (y <= x)) | ((yt > 0) & (yt < x))
-    return ok.reshape(len(x), -1).all(axis=1)
+    return ok.all(axis=(-2, -1))
+
+
+def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
+    """Boolean matrix F with F[i, j] = (lowers[i] is a face of uppers[j])."""
+    out = np.zeros((len(lowers), len(uppers)), dtype=bool)
+    if not lowers or not uppers:
+        return out
+    lo, hi = (gov_rows(np.array([lab.sigma + lab.seps for lab in labs], dtype=np.int16))
+              for labs in (lowers, uppers))
+    for s in range(0, len(lo), 64):   # 64 lowers at a time bound the temporaries
+        blk = lo[s:s + 64, None]
+        out[s:s + 64] = (cond_rows(hi, blk) if kind == KIND_COMPLEMENT
+                         else cond_rows(blk, hi))
+    return out
 
 
 def _leq(kind: str, lower: np.ndarray, upper: np.ndarray,

@@ -9,11 +9,20 @@ negative single term.  The matrix is symmetric, positive semidefinite, and
 singular exactly along constant shifts, which the zero-sum normalization
 quotients away.
 
-Safeguards: seed weights that blank out cells are first pulled back toward
-zero (the unweighted diagram is safe for interior sites), then any cell still
-empty is grown until it captures area.  A Newton step is only accepted when
-no cell dies and the residual drops; otherwise the step is halved, falling
-back to plain ascent.
+Safeguards: Newton needs every cell to hold area, since an empty cell has
+no walls and so no Jacobian row.  The iteration starts from w0, or from
+zero, and only when a cell is empty there from a closed-form seed.  Pull
+the sites toward the polygon's centroid c, to y_i = c + t (x_i - c), with t
+half the largest factor that keeps every y_i inside, capped at 1.  At
+w_i = (1 - t) |x_i - c|^2 the power diagram of the x_i is the Voronoi
+diagram of the y_i: |x - x_i|^2 - w_i and |x - y_i|^2 / t differ by terms
+that do not depend on i.  Distinct sites inside the polygon own cells of
+positive area, so for any distinct sites the seed has no empty cell (up to
+rounding: clusters far smaller than the polygon can give cells below
+AREA_EPS, and then the solve fails).  From there the iteration is the
+damped Newton method of Kitagawa, Merigot and Thibert: a step is halved
+until every cell keeps at least half of min(least share, 1/n) and the
+residual drops, so every accepted iterate has every cell nonempty.
 """
 from __future__ import annotations
 
@@ -48,6 +57,24 @@ def area_jacobian(diagram: PowerDiagram) -> np.ndarray:
     return J
 
 
+def _voronoi_seed(polygon: ConvexPolygon, sites) -> np.ndarray:
+    """Zero-mean weights whose power diagram is the Voronoi diagram of the
+    sites pulled toward the centroid until all lie strictly inside, so that
+    every cell has positive area (see the module docstring)."""
+    c = np.array(polygon.centroid)
+    v = np.array(polygon.vertices)
+    e = np.roll(v, -1, axis=0) - v
+    normal = np.column_stack([e[:, 1], -e[:, 0]])      # outward: vertices run ccw
+    room = ((v - c) * normal).sum(axis=1)               # > 0: c is interior
+    x = np.array(_as_site_tuple(sites).points) - c
+    out = x @ normal.T                                  # (sites, edges)
+    pull = np.divide(room, out, out=np.full(out.shape, np.inf), where=out > 0.0)
+    # half the largest pull keeps the pulled sites clear of the edges
+    t = min(1.0, 0.5 * float(pull.min()))
+    w = (1.0 - t) * (x * x).sum(axis=1)
+    return w - w.mean()
+
+
 def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-10,
                                 max_iter: int = 10000, w0=None,
                                 return_stats: bool = False):
@@ -56,7 +83,8 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     tol bounds the infinity norm of the normalized area residual.  w0 seeds
     the iteration (any float vector; it is recentered); the maximizer itself
     is unique once centered, so different seeds land on the same answer.
-    Raises WeightSolveError when the iteration cap is hit.  return_stats
+    Raises WeightSolveError when the seed leaves a cell empty, the line
+    search stalls or the iteration cap is hit.  return_stats
     adds a dict with the iteration count, the final residual and the
     diagram at the final weights, so callers need not build it again.
     """
@@ -79,56 +107,19 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
             raise ValueError("w0 must have one entry per site")
         w -= w.mean()
 
-    x0, y0, x1, y1 = polygon.bbox
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    reach = max(((px - cx) ** 2 + (py - cy) ** 2) ** 0.5 for px, py in sts.points)
-    scale2 = ((x1 - x0) ** 2 + (y1 - y0) ** 2) + 4.0 * reach * reach
-
     def build(wv):
         d = power_diagram(polygon, sts, wv)
         f = np.array(d.areas) / A
         return d, f
 
     diag, frac = build(w)
-
-    # a cell empty at the seed weights cannot inform the Jacobian; retreat
-    # toward the unweighted diagram first, which has every cell nonempty
-    # whenever the sites sit inside the polygon
-    if frac.min() <= 0.0 and np.abs(w).max() > 0.0:
-        shrink = w.copy()
-        for _ in range(80):
-            shrink *= 0.5
-            d3, f3 = build(shrink)
-            if f3.min() > 0.0:
-                w, diag, frac = shrink, d3, f3
-                break
-        else:
-            w = np.zeros(n)
-            diag, frac = build(w)
-
-    # sites outside the polygon may leave cells empty even unweighted; grow
-    # those weights until they capture something, restarting the increment
-    # whenever the empty set changes so overshoots cannot see-saw
-    grow0 = scale2 / (16.0 * n)
-    grow = grow0
-    rescues = 0
-    prev_empty = None
-    while frac.min() <= 0.0:
-        if rescues >= 300:
-            raise WeightSolveError("could not give every cell positive area",
-                                   weights=tuple(w - w.mean()),
-                                   residual=float(np.abs(target - frac).max()),
-                                   iterations=rescues)
-        empty = frac <= 0.0
-        key = tuple(np.nonzero(empty)[0])
-        if key != prev_empty:
-            grow = grow0
-            prev_empty = key
-        w = w + np.where(empty, grow, 0.0)
-        w -= w.mean()
+    if frac.min() <= 0.0:
+        w = _voronoi_seed(polygon, sts)
         diag, frac = build(w)
-        grow *= 1.4
-        rescues += 1
+        if frac.min() <= 0.0:
+            raise WeightSolveError("could not give every cell positive area",
+                                   weights=tuple(w),
+                                   residual=float(np.abs(target - frac).max()))
 
     r = target - frac
     rn = float(np.abs(r).max())
@@ -143,7 +134,6 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
         delta = np.linalg.lstsq(J, r, rcond=None)[0]
         delta -= delta.mean()
         floor = 0.5 * min(float(frac.min()), target)
-        accepted = False
         t = 1.0
         while t >= 1e-12:
             w2 = w + t * delta
@@ -153,25 +143,9 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
             rn2 = float(np.abs(r2).max())
             if f2.min() >= floor and rn2 <= (1.0 - 0.1 * t) * rn:
                 w, diag, frac, r, rn = w2, d2, f2, r2, rn2
-                accepted = True
                 break
             t *= 0.5
-        if accepted:
-            continue
-        # ascent fallback; the residual itself is an ascent direction
-        t = 1.0
-        while t >= 1e-14:
-            w2 = w + t * scale2 * r
-            w2 -= w2.mean()
-            d2, f2 = build(w2)
-            r2 = target - f2
-            rn2 = float(np.abs(r2).max())
-            if f2.min() > 0.0 and rn2 < rn:
-                w, diag, frac, r, rn = w2, d2, f2, r2, rn2
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        else:
             raise WeightSolveError("line search stalled at residual %.3e" % rn,
                                    weights=tuple(w - w.mean()), residual=rn,
                                    iterations=iters)

@@ -10,14 +10,14 @@ import pytest
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     import os
     env = dict(os.environ)
     env.pop("EQUICELL_BUDGET", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "equicell", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def write_json(path, payload):
@@ -170,6 +170,26 @@ class TestObstruction:
     def test_verify_budget_exceeded(self):
         res = run_cli("obstruction", "--n", "6", "--verify", "--budget", "10")
         assert res.returncode == 2
+
+    def test_witness_over_budget_exits_at_once(self):
+        # 10**11 is not a prime power: its witness would have 10**11 - 1 entries
+        res = run_cli("obstruction", "--n", "100000000000", timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: the witness for n=100000000000 needs 99999999999 entries,"
+            " budget is 5000000"]
+
+    def test_witness_budget_flag(self):
+        assert run_cli("obstruction", "--n", "12", "--budget", "10").returncode == 2
+        res = run_cli("obstruction", "--n", "12", "--budget", "11")
+        assert res.returncode == 0
+        assert "witness=" in res.stdout
+
+    def test_huge_prime_power_needs_no_witness(self):
+        res = run_cli("obstruction", "--n", str(2 ** 40), timeout=30)
+        assert res.returncode == 0
+        assert "gcd=2 group=Z/2 map_exists=False" in res.stdout
 
 
 class TestEquipart:

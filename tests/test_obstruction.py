@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from equicell import (CellLabel, RidgeOrbitCochain, binomial_gcd,
+from equicell import (BudgetExceededError, CellLabel, RidgeOrbitCochain, binomial_gcd,
                       binomial_valuation, coboundary_witness, enumerate_cells,
                       expected_incidence_row, facet_incidence_vector,
                       is_prime_power, obstruction_report, prime_power,
@@ -245,6 +245,13 @@ class TestReport:
 
     def test_eight_points(self):
         assert obstruction_report(2, 8).group == "Z/2"
+
+    def test_witness_must_fit_budget(self):
+        with pytest.raises(BudgetExceededError, match="witness"):
+            obstruction_report(2, 12, budget=10)
+        assert len(obstruction_report(2, 12, budget=11).witness.values) == 11
+        # no witness to build for a prime power, however large
+        assert obstruction_report(2, 2 ** 40, budget=0).gcd == 2
 
     def test_independent_of_d(self):
         for n in range(2, 13):

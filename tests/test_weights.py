@@ -8,8 +8,27 @@ import pytest
 import support
 from equicell import (ConvexPolygon, Sites, WeightSolveError, area_jacobian,
                       power_diagram, solve_equal_measure_weights)
+from equicell.weights import _voronoi_seed
 
 SQUARE = support.UNIT_SQUARE
+RIGHT_TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+
+
+def pulled_sites(poly, sites):
+    """The sites moved toward the centroid c by half the largest factor s
+    (capped at 1) with every c + s (x - c) inside, found edge by edge from
+    the signed distances to the edge lines."""
+    cx, cy = poly.centroid
+    verts = poly.vertices
+    s = np.inf
+    for x, y in sites:
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            inside = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            rate = (bx - ax) * (y - cy) - (by - ay) * (x - cx)
+            if rate < 0:
+                s = min(s, inside / -rate)
+    t = min(1.0, 0.5 * s)
+    return tuple((cx + t * (x - cx), cy + t * (y - cy)) for x, y in sites)
 
 
 def random_instance(rng, n=None):
@@ -169,6 +188,49 @@ class TestSolve:
         w = solve_equal_measure_weights(SQUARE, sites, tol=1e-10)
         pd = power_diagram(SQUARE, sites, w)
         assert np.abs(np.array(pd.areas) - 1 / 3).max() <= 1e-9
+
+    @pytest.mark.parametrize("sites", [
+        ((-0.6, -0.5), (0.9, 1.7), (1.0, 1.8)),
+        ((1.9, -0.7), (-0.8, -1.0), (1.8, -0.8), (1.0, -0.1)),
+        ((1.8, 1.5), (1.7, 0.7), (0.9, 1.0), (1.9, 1.6), (0.8, 0.9)),
+    ])
+    def test_sites_outside_converge(self, sites):
+        # every site outside the triangle, most cells empty unweighted
+        w = solve_equal_measure_weights(RIGHT_TRIANGLE, sites, tol=1e-10)
+        areas = np.array(power_diagram(RIGHT_TRIANGLE, sites, w).areas)
+        assert np.abs(areas - 0.5 / len(sites)).max() <= 1e-9
+
+    def test_seed_is_voronoi_of_pulled_sites(self):
+        rng = np.random.default_rng(113)
+        for k in range(8):
+            poly = support.random_convex_polygon(rng)
+            x0, y0, x1, y1 = poly.bbox
+            n = int(rng.integers(2, 12))
+            grow = 5.0 * (x1 - x0 + y1 - y0)
+            centre = rng.uniform(-grow, grow, 2) + poly.centroid
+            spread = grow if k % 2 else 0.01 * (x1 - x0)
+            sites = tuple(map(tuple, centre + rng.uniform(-spread, spread, (n, 2))))
+            seed = _voronoi_seed(poly, sites)
+            assert abs(seed.sum()) <= 1e-12 * np.abs(seed).max()
+            pulled = pulled_sites(poly, sites)
+            assert min(support.boundary_distance(poly, p) for p in pulled) > 0
+            areas = np.array(power_diagram(poly, sites, seed).areas)
+            want = np.array(power_diagram(poly, pulled).areas)
+            assert np.abs(areas - want).max() <= 1e-12
+            assert areas.min() > 0
+
+    def test_warm_start_emptying_a_cell(self):
+        rng = np.random.default_rng(127)
+        tol = 1e-10
+        for _ in range(4):
+            poly = support.random_convex_polygon(rng)
+            sites = support.random_sites_inside(rng, poly, 5)
+            base = np.array(solve_equal_measure_weights(poly, sites, tol=tol).values)
+            w0 = np.zeros(5)
+            w0[0] = -10.0 * poly.area
+            assert power_diagram(poly, sites, w0).cells[0] is None
+            w = solve_equal_measure_weights(poly, sites, tol=tol, w0=tuple(w0))
+            assert np.abs(np.array(w.values) - base).max() <= 10 * tol
 
     def test_nonconvergence_reports_best(self):
         # a two-cell instance converges in one exact Newton step, so use five
