@@ -28,37 +28,25 @@ def polygon_perimeter(pts) -> float:
     return s
 
 
-def _merge_close(pts, tags=None, eps=MERGE_EPS):
-    # drop vertices within eps of their predecessor (cyclically); when tags
-    # ride along, the surviving vertex keeps the leaving tag of the dropped one
-    m = len(pts)
-    if m == 0:
-        return (pts, tags) if tags is not None else pts
+def _merge_close(pts, tags, eps=MERGE_EPS):
+    # drop vertices within eps of their predecessor (cyclically); the
+    # surviving vertex keeps the leaving tag of the dropped one
     keep_pts, keep_tags = [], []
-    for i in range(m):
-        p = pts[i]
+    for p, t in zip(pts, tags):
         if keep_pts:
             q = keep_pts[-1]
             if abs(p[0] - q[0]) <= eps and abs(p[1] - q[1]) <= eps:
-                if tags is not None:
-                    keep_tags[-1] = tags[i]
+                keep_tags[-1] = t
                 continue
         keep_pts.append(p)
-        if tags is not None:
-            keep_tags.append(tags[i])
+        keep_tags.append(t)
     # cyclic closure: last may coincide with first; its leaving edge is
     # degenerate, so its tag just drops
-    while len(keep_pts) > 1:
-        p, q = keep_pts[-1], keep_pts[0]
-        if abs(p[0] - q[0]) <= eps and abs(p[1] - q[1]) <= eps:
-            keep_pts.pop()
-            if tags is not None:
-                keep_tags.pop()
-        else:
-            break
-    if tags is not None:
-        return keep_pts, keep_tags
-    return keep_pts
+    while len(keep_pts) > 1 and (abs(keep_pts[-1][0] - keep_pts[0][0]) <= eps
+                                 and abs(keep_pts[-1][1] - keep_pts[0][1]) <= eps):
+        keep_pts.pop()
+        keep_tags.pop()
+    return keep_pts, keep_tags
 
 
 def check_finite_extent(polygon) -> None:
@@ -86,7 +74,7 @@ class ConvexPolygon:
         pts = [(float(x), float(y)) for x, y in self.vertices]
         if not all(isfinite(x) and isfinite(y) for x, y in pts):
             raise ValueError("vertices must be finite")
-        pts = _merge_close(pts)
+        pts, _ = _merge_close(pts, [None] * len(pts))
         if len(pts) < 3:
             raise ValueError("need at least 3 distinct vertices")
         area = polygon_area(pts)
@@ -155,10 +143,8 @@ def clip_tagged(pts, tags, a, c, new_tag):
     """
     ax, ay = a
     m = len(pts)
-    if m == 0:
-        return [], []
     sides = [ax * p[0] + ay * p[1] - c for p in pts]
-    if max(sides) <= 0.0:
+    if max(sides, default=0.0) <= 0.0:
         return pts, tags
     scale = abs(ax) + abs(ay)
     out_p, out_t = [], []
@@ -183,3 +169,10 @@ def clip_tagged(pts, tags, a, c, new_tag):
         return [], []
     return out_p, out_t
 
+
+def _clipped_polygon(pts) -> ConvexPolygon:
+    # no validation: clip_tagged results are merged, have >= 3 vertices and
+    # area >= AREA_EPS, and are convex by construction
+    cell = object.__new__(ConvexPolygon)
+    object.__setattr__(cell, "vertices", tuple(pts))
+    return cell

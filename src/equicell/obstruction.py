@@ -13,7 +13,7 @@ when n is not a prime power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -91,29 +91,29 @@ def binomial_gcd(n: int) -> int:
     return pp[0] if pp else 1
 
 
-def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p**k, or None when n has two distinct prime factors."""
+def prime_power(n: int, budget: int | None = None) -> tuple[int, int] | None:
+    """(p, k) with n = p**k, or None when n has two distinct prime factors.
+    Trial division for the least prime factor tries at most budget + 1
+    candidates (so a budget of 0 settles even n), or raises
+    BudgetExceededError."""
     if n < 2:
         raise ValueError("need n >= 2")
-    m = n
-    p = None
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            p = f
-            while m % f == 0:
-                m //= f
+    limit = resolve_budget(budget)
+    root = isqrt(n)
+    for p in range(2, min(root, limit + 2) + 1):
+        if n % p == 0:
             break
-        f += 1
-    if p is None:
+    else:
+        if root > limit + 2:
+            raise BudgetExceededError(
+                "factoring n=%d needs up to %d trial divisions, budget is %d"
+                % (n, root - 1, limit))
         return (n, 1)
-    if m != 1:
-        return None
     k = 0
-    while n > 1:
+    while n % p == 0:
         n //= p
         k += 1
-    return (p, k)
+    return (p, k) if n == 1 else None
 
 
 def is_prime_power(n: int) -> bool:
@@ -155,26 +155,27 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def coboundary_witness(n: int) -> RidgeOrbitCochain:
     """Integers x_1..x_{n-1} with sum x_j * C(n, j) = 1, exactly.
 
-    Built left to right by the extended Euclidean algorithm and verified
-    against the defining identity before returning.  Raises ValueError when no
-    witness exists (n a prime power).
+    The extended Euclidean algorithm folds C(n, j) into the running gcd,
+    g_j = s_j g_{j-1} + t_j C(n, j), until g_J = 1.  Unrolled, that gives
+    x_j = t_j * prod_{j<k<=J} s_k (t_1 = 1) in one backward pass, and x_j = 0
+    beyond J.  Verified against the defining identity before returning;
+    ValueError when no witness exists (n a prime power).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    coeffs = [1]
-    g = n  # C(n, 1)
-    c = n
+    steps = [(1, 1)]  # (s_j, t_j) from j = 1
+    g = c = n  # C(n, 1)
     for j in range(2, n):
         if g == 1:
-            coeffs.append(0)
-            continue
+            break
         c = c * (n - j + 1) // j
-        g2, s, t = _extended_gcd(g, c)
-        coeffs = [s * x for x in coeffs]
-        coeffs.append(t)
-        g = g2
+        g, s, t = _extended_gcd(g, c)
+        steps.append((s, t))
     if g != 1:
         raise ValueError("no witness: gcd of the binomial row is %d" % g)
+    coeffs, scale = [0] * (n - 1), 1
+    for j, (s, t) in reversed(list(enumerate(steps))):
+        coeffs[j], scale = t * scale, s * scale
     total = sum(x * comb(n, j) for j, x in enumerate(coeffs, start=1) if x)
     if total != 1:
         raise AssertionError("witness failed verification: got %d" % total)
@@ -182,14 +183,15 @@ def coboundary_witness(n: int) -> RidgeOrbitCochain:
 
 
 def obstruction_report(d: int, n: int, budget: int | None = None) -> ObstructionReport:
-    """Run the full decision for n points in R^d.  When the map exists, its
-    witness has n - 1 entries, which must fit in the budget."""
+    """Run the full decision for n points in R^d.  The trial divisions that
+    factor n, and when the map exists its witness's n - 1 entries, must fit
+    in the budget."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    pp = prime_power(n)
+    limit = resolve_budget(budget)
+    pp = prime_power(n, limit)
     g = pp[0] if pp else 1
     exists = g == 1
-    limit = resolve_budget(budget)
     if exists and n - 1 > limit:
         raise BudgetExceededError("the witness for n=%d needs %d entries, budget is %d"
                                   % (n, n - 1, limit))
@@ -233,10 +235,9 @@ def facet_ridge_class_counts(d: int, n: int,
     gov = gov_rows(facets)
     counts = np.zeros((len(facets), n - 1), dtype=np.int64)
     for places, seps in boundary(tuple(range(1, n + 1)), top):
-        try:
-            cls = ridge_orbit_index(CellLabel(places, seps, d)) - 1
-        except InvalidLabelError:
-            continue
+        if sum(seps) != len(seps) * d - 1:
+            continue  # not one dimension down: no ridge
+        cls = seps.index(d - 1)  # the one separator the move lowered
         ridges = np.column_stack([facets[:, np.array(places) - 1],
                                   np.tile(np.array(seps, facets.dtype), (len(facets), 1))])
         counts[:, cls] += cond_rows(gov, gov_rows(ridges))

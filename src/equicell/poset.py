@@ -470,18 +470,21 @@ def validate_covers(poset: FacePoset) -> None:
         raise ValueError(f"interval ({x},{z}) has {mids[e]} middle elements")
 
 
-def f_vector(d: int, n: int, budget: int | None = None) -> tuple[int, ...]:
-    """Cell counts of the compact complex by dimension 0..(d-1)(n-1)."""
+def f_vector(d: int, n: int) -> tuple[int, ...]:
+    """Cell counts of the compact complex by dimension 0..(d-1)(n-1): each of
+    n - 1 separators adds 0..d-1, so n! (1 + x + ... + x^(d-1))^(n-1)."""
     _check_args(d, n, KIND_COMPLEMENT)
-    _check_budget(d, n, KIND_COMPLEMENT, budget)
-    _, words, _ = _kind_grid(d, n, KIND_COMPLEMENT)
-    dims = words.sum(axis=1, dtype=np.int64) - (n - 1)
-    return tuple((factorial(n) * np.bincount(dims)).tolist())
+    coeffs = [1]
+    for _ in range(n - 1):  # times 1 + x + ... + x^(d-1)
+        coeffs = [sum(coeffs[max(k - d + 1, 0):k + 1])
+                  for k in range(len(coeffs) + d - 1)]
+    return tuple(factorial(n) * c for c in coeffs)
 
 
-def euler_characteristic(d: int, n: int, budget: int | None = None) -> int:
-    fv = f_vector(d, n, budget=budget)
-    return sum((-1) ** k * c for k, c in enumerate(fv))
+def euler_characteristic(d: int, n: int) -> int:
+    """n! for odd d, 0 for even d: the f-vector polynomial at x = -1."""
+    _check_args(d, n, KIND_COMPLEMENT)
+    return factorial(n) if d % 2 else 0
 
 
 def _filled(template: str, sep: str, rows: np.ndarray, chunk: int = 4096):

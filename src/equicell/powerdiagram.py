@@ -35,7 +35,7 @@ from math import dist, inf, isfinite
 
 import numpy as np
 
-from .geometry import ConvexPolygon, clip_tagged, polygon_area, polygon_perimeter
+from .geometry import ConvexPolygon, _clipped_polygon, clip_tagged, polygon_area
 
 SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
 SKIP_FROM = 32       # fewer sites: thresholds cost more than the clips they skip
@@ -195,24 +195,23 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
                     break
                 if track:
                     r = max(dist(p, site) for p in cpts)
-        if not cpts:
-            cells.append(None)
-            areas.append(0.0)
-            perims.append(0.0)
-            interfaces.append(())
-            continue
-        cells.append(ConvexPolygon(tuple(cpts)))
+        # an empty cell has no edges, area 0.0, perimeter 0.0 and no walls
+        cells.append(_clipped_polygon(cpts) if cpts else None)
         areas.append(polygon_area(cpts))
-        perims.append(polygon_perimeter(cpts))
+        # one pass over the edges: the perimeter as polygon_perimeter sums
+        # it, and the wall lengths by neighbour
+        perim = 0.0
         shared: dict[int, float] = {}
         k = len(cpts)
         for e in range(k):
-            t = ctags[e]
-            if t < 0:
-                continue
             x0, y0 = cpts[e]
             x1, y1 = cpts[(e + 1) % k]
-            shared[t] = shared.get(t, 0.0) + ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+            length = ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+            perim += length
+            t = ctags[e]
+            if t >= 0:
+                shared[t] = shared.get(t, 0.0) + length
+        perims.append(perim)
         interfaces.append(tuple(sorted(shared.items())))
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
                         cells=tuple(cells), areas=tuple(areas),
@@ -221,8 +220,6 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
 
 def perimeter_spread(diagram: PowerDiagram) -> float:
     """max - min of cell perimeters; zero for a single cell."""
-    if diagram.n == 1:
-        return 0.0
     if any(c is None for c in diagram.cells):
         raise ValueError("spread undefined: some cell is empty")
     return max(diagram.perimeters) - min(diagram.perimeters)

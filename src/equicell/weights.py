@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ConvexPolygon
-from .powerdiagram import PowerDiagram, Sites, Weights, _as_site_tuple, power_diagram
+from .powerdiagram import PowerDiagram, Weights, _as_site_tuple, power_diagram
 
 
 class WeightSolveError(RuntimeError):
@@ -90,13 +90,6 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
-    if n == 1:
-        w = Weights((0.0,))
-        if return_stats:
-            return w, {"iterations": 0, "residual": 0.0,
-                       "diagram": power_diagram(polygon, sts, w)}
-        return w
-
     A = polygon.area
     target = 1.0 / n
     if w0 is None:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: poset property checks, random convex
-polygon generation, rigid-motion utilities, and the all-pairs power diagram
-that the clip-skipping build must reproduce bit for bit."""
+polygon generation, rigid-motion utilities, the all-pairs power diagram
+that the clip-skipping build must reproduce bit for bit, and the forward
+witness construction that the backward pass must reproduce."""
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -9,6 +10,7 @@ from equicell import (ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
                       is_face_complement, is_face_stratification)
 from equicell.geometry import (AREA_EPS, _merge_close, polygon_area,
                                polygon_perimeter)
+from equicell.obstruction import _extended_gcd
 from equicell.poset import face_matrix
 from equicell.powerdiagram import _as_site_tuple
 
@@ -250,3 +252,22 @@ def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
                         cells=tuple(cells), areas=tuple(areas),
                         perimeters=tuple(perims), interfaces=tuple(interfaces))
+
+
+def forward_witness(n):
+    """Witness values x_1..x_{n-1} with sum x_j C(n, j) = 1, built left to
+    right: each extended-gcd step rescales every earlier coefficient by s_j
+    and appends t_j.  Raises ValueError when n is a prime power."""
+    coeffs = [1]
+    g = c = n
+    for j in range(2, n):
+        if g == 1:
+            coeffs.append(0)
+            continue
+        c = c * (n - j + 1) // j
+        g, s, t = _extended_gcd(g, c)
+        coeffs = [s * x for x in coeffs]
+        coeffs.append(t)
+    if g != 1:
+        raise ValueError("no witness: gcd of the binomial row is %d" % g)
+    return tuple(coeffs)

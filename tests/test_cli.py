@@ -4,6 +4,7 @@ codes, determinism, and the no-partial-file guarantee."""
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -190,6 +191,41 @@ class TestObstruction:
         res = run_cli("obstruction", "--n", str(2 ** 40), timeout=30)
         assert res.returncode == 0
         assert "gcd=2 group=Z/2 map_exists=False" in res.stdout
+
+    def test_witness_beyond_the_int_digit_limit(self, tmp_path):
+        # entries of the n = 20014 witness have about 6,000 digits, more than
+        # Python 3.11's default int-to-str limit of 4,300
+        out = tmp_path / "rep.json"
+        res = run_cli("obstruction", "--n", "20014", "--output", str(out), timeout=60)
+        assert res.returncode == 0, res.stderr
+        printed = res.stdout.splitlines()[1]
+        assert printed.startswith("witness=(")
+        lift = hasattr(sys, "set_int_max_str_digits")  # Python 3.11 on
+        limit = sys.get_int_max_str_digits() if lift else None
+        if lift:
+            sys.set_int_max_str_digits(0)
+        try:
+            from_json = json.loads(out.read_text())["witness"]
+            from_stdout = [int(v) for v in printed[len("witness=("):-1].split(",")]
+        finally:
+            if lift:
+                sys.set_int_max_str_digits(limit)
+        assert from_json == from_stdout and len(from_json) == 20013
+        assert max(abs(v) for v in from_json) > 10 ** 4300
+        assert sum(x * comb(20014, j) for j, x in enumerate(from_json, start=1) if x) == 1
+
+    def test_large_prime_over_factoring_budget(self):
+        # 10**14 + 31 is prime: ruling out every factor takes 10**7 - 1 divisions
+        res = run_cli("obstruction", "--n", "100000000000031", timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: factoring n=100000000000031 needs up to 9999999 trial"
+            " divisions, budget is 5000000"]
+        res = run_cli("obstruction", "--n", "100000000000031", "--budget", "10000001",
+                      timeout=60)
+        assert res.returncode == 0
+        assert "gcd=100000000000031 group=Z/100000000000031 map_exists=False" in res.stdout
 
 
 class TestEquipart:

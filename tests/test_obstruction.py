@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import support
 from equicell import (BudgetExceededError, CellLabel, RidgeOrbitCochain, binomial_gcd,
                       binomial_valuation, coboundary_witness, enumerate_cells,
                       expected_incidence_row, facet_incidence_vector,
@@ -177,6 +178,23 @@ class TestPrimePower:
         with pytest.raises(ValueError):
             prime_power(1)
 
+    def test_trial_division_stops_at_the_budget(self):
+        # 10**14 + 31 is prime: ruling out every factor takes 10**7 - 1 divisions
+        with pytest.raises(BudgetExceededError, match="9999999 trial divisions"):
+            prime_power(100000000000031, budget=1000)
+        with pytest.raises(BudgetExceededError, match="trial divisions"):
+            obstruction_report(2, 100000000000031, budget=1000)
+        # 1009**2: the least factor is the 1008th candidate
+        with pytest.raises(BudgetExceededError):
+            prime_power(1009 ** 2, budget=1006)
+        assert prime_power(1009 ** 2, budget=1007) == (1009, 2)
+
+    def test_search_that_ends_within_the_budget_answers(self):
+        assert prime_power(2 ** 40, budget=0) == (2, 40)
+        assert prime_power(7, budget=0) == (7, 1)  # 2 is the only candidate
+        assert prime_power(6000, budget=0) is None
+        assert prime_power(1000003, budget=999) == (1000003, 1)  # 999 candidates
+
 
 class TestValuation:
     def test_kummer_carry_rule(self):
@@ -209,6 +227,16 @@ class TestWitness:
         for n in (6, 10, 12, 15, 30, 100):
             w = coboundary_witness(n)
             assert sum(x * comb(n, j + 1) for j, x in enumerate(w.values)) == 1
+
+    def test_backward_pass_matches_forward_rescaling(self):
+        for n in list(range(2, 301)) + [6000]:
+            try:
+                want = support.forward_witness(n)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    coboundary_witness(n)
+            else:
+                assert coboundary_witness(n).values == want, n
 
     def test_prime_powers_have_no_witness(self):
         for n in (2, 3, 4, 8, 9, 25):

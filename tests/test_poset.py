@@ -112,7 +112,27 @@ class TestFVector:
             assert sum(fv) == factorial(n) * d ** (n - 1)
 
 
+    def test_matches_the_enumerated_poset(self):
+        for d in range(1, 4):
+            for n in range(2, 6):
+                assert f_vector(d, n) == enumerate_cells(d, n).f_vector()
+
+    def test_closed_form_needs_no_enumeration(self):
+        # 12! * 2**11 cells, far beyond any enumeration budget
+        fv = f_vector(2, 12)
+        assert len(fv) == 12 and fv[0] == fv[-1] == factorial(12)
+        assert sum(fv) == factorial(12) * 2 ** 11
+        assert euler_characteristic(2, 12) == 0
+
+
 class TestEuler:
+    def test_alternating_sum_of_the_f_vector(self):
+        for d in range(1, 6):
+            for n in range(2, 7):
+                fv = f_vector(d, n)
+                alternating = sum((-1) ** k * c for k, c in enumerate(fv))
+                assert euler_characteristic(d, n) == alternating
+
     def test_even_d_vanishes(self):
         assert euler_characteristic(2, 3) == 0
         assert euler_characteristic(2, 4) == 0

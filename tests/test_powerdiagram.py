@@ -10,6 +10,7 @@ from equicell import (ConvexPolygon, PowerDiagram, Sites, Weights,
                       perimeter_spread, point_cell_index, power_diagram,
                       solve_equal_measure_weights)
 from equicell import powerdiagram
+from equicell.geometry import polygon_perimeter
 
 SQUARE = support.UNIT_SQUARE
 
@@ -311,6 +312,31 @@ class TestSkippedClips:
         diagram = power_diagram(SQUARE, sites)
         assert sum(diagram.areas) == pytest.approx(1.0, rel=1e-12)
         assert len(calls) < 0.3 * n * (n - 1)
+
+
+class TestCellsAreClipResults:
+    """Cells are the clipped vertex lists, wrapped without validating them
+    again: validation would change nothing, the one-pass perimeter is
+    polygon_perimeter's and the interfaces are those of all-pairs clipping."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 80])
+    def test_cells_pass_validation_unchanged(self, n):
+        rng = np.random.default_rng(380 + n)
+        for _ in range(3):
+            poly = support.random_convex_polygon(rng)
+            sites = support.random_sites_inside(rng, poly, n)
+            w = rng.normal(scale=0.3 * poly.area / n, size=n)
+            got = power_diagram(poly, sites, tuple(w))
+            want = support.all_pairs_power_diagram(poly, sites, tuple(w))
+            assert got.interfaces == want.interfaces
+            assert any(c is not None for c in got.cells)
+            for cell, perim in zip(got.cells, got.perimeters):
+                if cell is None:
+                    assert perim == 0.0
+                    continue
+                assert isinstance(cell, ConvexPolygon)
+                assert ConvexPolygon(cell.vertices) == cell
+                assert perim == polygon_perimeter(cell.vertices)
 
 
 class TestSupport:

@@ -182,6 +182,19 @@ class TestSolve:
         w = solve_equal_measure_weights(SQUARE, ((0.3, 0.7),))
         assert w.values == (0.0,)
 
+    @pytest.mark.parametrize("site", [(0.3, 0.7), (3.0, -2.0)])
+    @pytest.mark.parametrize("w0", [None, (0.7,)])
+    def test_single_site_needs_no_iteration(self, site, w0):
+        w, stats = solve_equal_measure_weights(SQUARE, (site,), w0=w0,
+                                               return_stats=True)
+        assert w.values == (0.0,)
+        assert stats["iterations"] == 0 and stats["residual"] == 0.0
+        assert stats["diagram"].cells == (SQUARE,)
+
+    def test_single_site_checks_w0_length(self):
+        with pytest.raises(ValueError, match="one entry per site"):
+            solve_equal_measure_weights(SQUARE, ((0.3, 0.7),), w0=(0.0, 0.0))
+
     def test_rescues_far_site(self):
         # one site far in a corner still ends with equal areas
         sites = ((0.01, 0.01), (0.6, 0.55), (0.55, 0.6))
