@@ -29,7 +29,7 @@ from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
 from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION,
                     enumerate_cells, euler_characteristic, f_vector, poset_csv_chunks,
                     poset_json_chunks)
-from .powerdiagram import Sites, perimeter_spread, power_diagram
+from .powerdiagram import Sites, perimeter_spread
 from .svgout import render_power_diagram_svg
 from .weights import WeightSolveError, solve_equal_measure_weights
 
@@ -154,12 +154,19 @@ def cmd_obstruction(args) -> int:
     return EXIT_OK if verified else EXIT_CHECK
 
 
+def _number(v) -> float:
+    # a coordinate must be a JSON number: float() also takes true and "0.2"
+    if type(v) not in (int, float):
+        raise ValueError("coordinates must be numbers, not %s" % type(v).__name__)
+    return float(v)
+
+
 def _load_polygon(data) -> ConvexPolygon:
     verts = data.get("polygon")
     if (not isinstance(verts, list) or len(verts) < 3
             or any(not isinstance(v, list) or len(v) != 2 for v in verts)):
         raise ValueError("polygon must be a list of [x, y] pairs")
-    pts = [(float(x), float(y)) for x, y in verts]
+    pts = [(_number(x), _number(y)) for x, y in verts]
     if polygon_area(pts) < 0:
         pts.reverse()
     polygon = ConvexPolygon(tuple(pts))
@@ -193,7 +200,7 @@ def _payload_csv(payload) -> str:
 def cmd_equipart(args) -> int:
     try:
         data = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or UTF-8
         return _fail("cannot read input: %s" % e, EXIT_INPUT)
     if not isinstance(data, dict):
         return _fail("input must be a JSON object", EXIT_INPUT)
@@ -202,7 +209,7 @@ def cmd_equipart(args) -> int:
         return _fail("mode must be 'weights' or 'equalize'", EXIT_INPUT)
     try:
         polygon = _load_polygon(data)
-    except (ValueError, TypeError) as e:
+    except (ValueError, OverflowError) as e:
         return _fail("bad polygon: %s" % e, EXIT_INPUT)
     # a flag overrides the input file, which overrides the mode's default
     seed = args.seed if args.seed is not None else data.get("seed", 0)
@@ -218,20 +225,15 @@ def cmd_equipart(args) -> int:
         if not isinstance(raw, list) or not raw:
             return _fail("mode 'weights' needs sites", EXIT_INPUT)
         try:
-            sites = Sites(tuple((float(x), float(y)) for x, y in raw))
-        except (ValueError, TypeError) as e:
+            sites = Sites(tuple((_number(x), _number(y)) for x, y in raw))
+            check_finite_extent(polygon, sites.points)
+        except (ValueError, TypeError, OverflowError) as e:
             return _fail("bad sites: %s" % e, EXIT_INPUT)
-        converged = True
         try:
-            wts, stats = solve_equal_measure_weights(polygon, sites, tol=tol,
-                                                     return_stats=True)
-            wvals = wts.values
-            iters = stats["iterations"]
+            _, stats = solve_equal_measure_weights(polygon, sites, tol=tol)
+            diag, iters, converged = stats["diagram"], stats["iterations"], True
         except WeightSolveError as e:
-            converged = False
-            wvals = e.weights
-            iters = e.iterations
-        diag = power_diagram(polygon, sites, wvals)
+            diag, iters, converged = e.diagram, e.iterations, False
         try:
             spread = perimeter_spread(diag)
         except ValueError:
@@ -260,7 +262,7 @@ def cmd_equipart(args) -> int:
 def cmd_label(args) -> int:
     try:
         data = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or UTF-8
         return _fail("cannot read input: %s" % e, EXIT_INPUT)
     pts = data.get("points") if isinstance(data, dict) else None
     if (not isinstance(pts, list) or not pts
@@ -268,11 +270,11 @@ def cmd_label(args) -> int:
         return _fail("input needs a nonempty 'points' list of coordinate lists",
                      EXIT_INPUT)
     try:
-        cols = tuple(tuple(float(v) for v in p) for p in pts)
+        cols = tuple(tuple(_number(v) for v in p) for p in pts)
         if not all(isfinite(v) for col in cols for v in col):
             raise ValueError("coordinates must be finite numbers")
         lab = fox_neuwirth_label(cols)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         return _fail("bad points: %s" % e, EXIT_INPUT)
     print(lab.to_string())
     if args.output is not None:

@@ -18,7 +18,8 @@ polygon (uniform draws inside it) mostly put the walls across its long
 axis, which on elongated polygons leads nearly every start into the same
 fold.  Sites may leave the polygon during the iteration, and many solutions
 have sites outside it.  The best configuration wins; ties keep the earliest
-start.
+start.  Its diagram is the one its weight solve converged on: nothing is
+solved or built again.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from itertools import count
 import numpy as np
 
 from .geometry import ConvexPolygon, check_finite_extent
-from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread, power_diagram
+from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread
 from .weights import WeightSolveError, solve_equal_measure_weights
 
 
@@ -67,11 +68,12 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     """Equal-area decomposition with perimeter spread at most tol, if found.
 
     Deterministic for fixed arguments.  max_evals bounds the weight solves of
-    the search, and one more polishes the result; evaluations counts them
-    all.  When no configuration reaches tol within the budget, the best one
-    found is returned with converged = False; so is the best one itself when
-    the polish fails.  EqualizeError means no configuration had an
-    equal-area diagram, ValueError a polygon too large for floats.
+    the search, and evaluations counts them.  The result is the best
+    evaluation as solved: its sites, weights and diagram, and the spread of
+    that diagram.  When no configuration reaches tol within the budget, the
+    best one found is returned with converged = False.  EqualizeError means
+    no configuration had an equal-area diagram, ValueError a polygon too
+    large for floats.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -79,14 +81,13 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     bb = polygon.bbox
     diam = ((bb[2] - bb[0]) ** 2 + (bb[3] - bb[1]) ** 2) ** 0.5
     h = 1e-7 * diam
-    stop_at = 0.25 * tol
     rng = np.random.default_rng(seed)
     evals = 0
-    best = (np.inf, None, None, 0)   # (spread, sites, weights, start index)
+    best = (np.inf, None, None, 0)   # (spread, weights, diagram, start index)
 
     def evaluate(x, w0):
-        # (perimeters - mean, weights) at sites x; None when the budget is
-        # spent, the sites coincide or the weight solve fails
+        # (perimeters - mean, weights, diagram) at sites x; None when the
+        # budget is spent, the sites coincide or the weight solve fails
         nonlocal evals
         if evals >= max_evals:
             return None
@@ -94,12 +95,11 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
         try:
             sts = Sites(tuple(map(tuple, x)))
             wts, stats = solve_equal_measure_weights(polygon, sts, tol=1e-11,
-                                                     max_iter=400, w0=w0,
-                                                     return_stats=True)
+                                                     max_iter=400, w0=w0)
         except (WeightSolveError, ValueError):
             return None
         p = np.array(stats["diagram"].perimeters)
-        return p - p.mean(), wts.values
+        return p - p.mean(), wts, stats["diagram"]
 
     def gauss_newton_step(x, r, w):
         # sites after a backtracked min-norm step and their evaluation, which
@@ -124,30 +124,22 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
         return x, None
 
     for start in count():
-        if evals >= max_evals or best[0] <= stop_at:
+        if evals >= max_evals or best[0] <= tol:
             break
         x = _random_sites(polygon, n, rng, diam)
         got = evaluate(x, None)
         while got is not None:
-            r, w = got
-            spread = float(r.max() - r.min())
+            r, wts, diag = got
+            spread = perimeter_spread(diag)
             if spread < best[0]:
-                best = (spread, x, w, start)
-            if spread <= stop_at:
+                best = (spread, wts, diag, start)
+            if spread <= tol:
                 break
-            x, got = gauss_newton_step(x, r, w)
+            x, got = gauss_newton_step(x, r, wts.values)
 
-    if best[1] is None:
+    spread, wts, diag, start = best
+    if diag is None:
         raise EqualizeError("no equal-area diagram in %d weight solves" % evals)
-    _, x, w, start = best
-    sts = Sites(tuple(map(tuple, x)))
-    try:
-        wts = solve_equal_measure_weights(polygon, sts, tol=1e-12, max_iter=3000, w0=w)
-    except WeightSolveError:
-        wts = Weights(w)
-    evals += 1
-    diag = power_diagram(polygon, sts, wts)
-    spread = perimeter_spread(diag)
-    return EqualizeResult(sites=sts, weights=wts, diagram=diag, spread=spread,
+    return EqualizeResult(sites=diag.sites, weights=wts, diagram=diag, spread=spread,
                           converged=spread <= tol, evaluations=evals,
                           start_index=start)

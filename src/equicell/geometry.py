@@ -6,6 +6,7 @@ from math import isfinite
 
 AREA_EPS = 1e-15    # clip results with less area than this count as empty
 MERGE_EPS = 1e-12   # consecutive vertices closer than this are merged
+EXTENT_HEADROOM = 1024.0   # factor below overflow kept by check_finite_extent
 
 
 def polygon_area(pts) -> float:
@@ -49,16 +50,15 @@ def _merge_close(pts, tags, eps=MERGE_EPS):
     return keep_pts, keep_tags
 
 
-def check_finite_extent(polygon) -> None:
-    """ValueError unless the polygon's area, perimeter and squared
-    bounding-box diagonal are finite floats."""
-    x0, y0, x1, y1 = polygon.bbox
-    try:
-        sizes = (polygon.area, polygon.perimeter, (x1 - x0) ** 2 + (y1 - y0) ** 2)
-    except OverflowError:
-        sizes = (float("inf"),)
-    if not all(map(isfinite, sizes)):
-        raise ValueError("area, perimeter or extent of the polygon overflows")
+def check_finite_extent(polygon, sites=()) -> None:
+    """ValueError unless the box around the origin, the polygon and the sites
+    has a squared diagonal EXTENT_HEADROOM times below overflow.  Then the
+    polygon's area and perimeter, and every sum of squared coordinates and
+    weights that a power-diagram build forms, stay finite."""
+    xs, ys = zip((0.0, 0.0), *polygon.vertices, *sites)
+    dx, dy = max(xs) - min(xs), max(ys) - min(ys)
+    if not isfinite(EXTENT_HEADROOM * (dx * dx + dy * dy)):
+        raise ValueError("extent of the input overflows")
 
 
 @dataclass(frozen=True)

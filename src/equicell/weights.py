@@ -33,13 +33,15 @@ from .powerdiagram import PowerDiagram, Weights, _as_site_tuple, power_diagram
 
 
 class WeightSolveError(RuntimeError):
-    """Non-convergence; carries the best weights seen."""
+    """Non-convergence; carries the last weights and their diagram."""
 
-    def __init__(self, message, weights=None, residual=None, iterations=0):
+    def __init__(self, message, weights=None, residual=None, iterations=0,
+                 diagram=None):
         super().__init__(message)
         self.weights = weights
         self.residual = residual
         self.iterations = iterations
+        self.diagram = diagram
 
 
 def area_jacobian(diagram: PowerDiagram) -> np.ndarray:
@@ -76,17 +78,18 @@ def _voronoi_seed(polygon: ConvexPolygon, sites) -> np.ndarray:
 
 
 def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-10,
-                                max_iter: int = 10000, w0=None,
-                                return_stats: bool = False):
+                                max_iter: int = 10000, w0=None):
     """Weights whose cells each hold area(polygon)/n, to |share - 1/n| <= tol.
 
     tol bounds the infinity norm of the normalized area residual.  w0 seeds
     the iteration (any float vector; it is recentered); the maximizer itself
     is unique once centered, so different seeds land on the same answer.
-    Raises WeightSolveError when the seed leaves a cell empty, the line
-    search stalls or the iteration cap is hit.  return_stats
-    adds a dict with the iteration count, the final residual and the
-    diagram at the final weights, so callers need not build it again.
+    Returns (weights, stats): stats holds the iteration count, the final
+    residual and the diagram, which power_diagram(polygon, sites, weights)
+    reproduces bit for bit, since every iterate is centered and the weights
+    are returned as iterated.  Raises WeightSolveError when the seed leaves a
+    cell empty, the line search stalls or the iteration cap is hit; it
+    carries the last weights and their diagram.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
@@ -111,7 +114,7 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
         diag, frac = build(w)
         if frac.min() <= 0.0:
             raise WeightSolveError("could not give every cell positive area",
-                                   weights=tuple(w),
+                                   weights=tuple(w), diagram=diag,
                                    residual=float(np.abs(target - frac).max()))
 
     r = target - frac
@@ -120,7 +123,7 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     while rn > tol:
         if iters >= max_iter:
             raise WeightSolveError("no convergence in %d iterations" % max_iter,
-                                   weights=tuple(w - w.mean()), residual=rn,
+                                   weights=tuple(w), diagram=diag, residual=rn,
                                    iterations=iters)
         iters += 1
         J = area_jacobian(diag) / A
@@ -140,10 +143,7 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
             t *= 0.5
         else:
             raise WeightSolveError("line search stalled at residual %.3e" % rn,
-                                   weights=tuple(w - w.mean()), residual=rn,
+                                   weights=tuple(w), diagram=diag, residual=rn,
                                    iterations=iters)
 
-    weights = Weights.normalized(w)
-    if return_stats:
-        return weights, {"iterations": iters, "residual": rn, "diagram": diag}
-    return weights
+    return Weights(tuple(w)), {"iterations": iters, "residual": rn, "diagram": diag}

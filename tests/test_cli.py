@@ -4,7 +4,7 @@ codes, determinism, and the no-partial-file guarantee."""
 import json
 import subprocess
 import sys
-from math import comb
+from math import comb, isfinite
 
 import pytest
 
@@ -247,6 +247,22 @@ class TestEquipart:
         assert doc["spread"] == pytest.approx(0.0, abs=1e-9)
         assert len(doc["cells"]) == 2
 
+    def test_weights_output_is_the_diagram_of_its_sites_and_weights(self, tmp_path):
+        # reals are written at 17 digits, so the printed sites and weights
+        # rebuild the printed areas and perimeters exactly
+        from equicell import ConvexPolygon, power_diagram
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "weights", "polygon": SQUARE,
+                              "sites": [[0.21, 0.41], [0.62, 0.53], [0.44, 0.78],
+                                        [0.81, 0.22], [0.33, 0.6]]})
+        res = run_cli("equipart", "--input", fixture)
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        pd = power_diagram(ConvexPolygon(tuple(map(tuple, SQUARE))),
+                           tuple(map(tuple, doc["sites"])), doc["weights"])
+        assert list(pd.areas) == doc["areas"]
+        assert list(pd.perimeters) == doc["perimeters"]
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "out.csv"
         res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
@@ -387,6 +403,38 @@ class TestEquipart:
             tmp_path, '{"mode": "weights", "polygon": %s, '
                       '"sites": [[0.25, 0.5], [Infinity, 0.5]]}' % json.dumps(SQUARE))
 
+    @pytest.mark.parametrize("polygon, sites", [
+        ([[0, 0], [1, 0], [True, 1], [0, 1]], [[0.25, 0.5], [0.6, 0.5]]),
+        (SQUARE, [[0.25, 0.5], ["0.2", "0.2"]]),
+    ])
+    def test_non_number_coordinates_rejected(self, tmp_path, polygon, sites):
+        # float() would take true and numeric strings
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": polygon, "sites": sites}))
+
+    def test_far_site_rejected(self, tmp_path):
+        # squared coordinates overflowed in the build, which ended in a
+        # traceback
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": SQUARE,
+             "sites": [[0.2, 0.2], [1e160, 0.3]]}))
+
+    @pytest.mark.parametrize("far", [1e150, 4e152])
+    def test_far_site_inside_the_bound_ends_cleanly(self, tmp_path, far):
+        # 4e152 is just inside the extent bound; the solve's seed leaves the
+        # near cell empty, and the diagram it stopped on is written
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "weights", "polygon": SQUARE,
+                              "sites": [[0.2, 0.2], [far, 0.3]]})
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", fixture, "--output", str(out))
+        assert res.returncode == 1
+        assert res.stderr == ""
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is False
+        assert doc["cells"][0] is None
+        assert all(map(isfinite, doc["weights"] + doc["areas"] + doc["perimeters"]))
+
     def test_non_numeric_tol_rejected(self, tmp_path):
         self.assert_input_error(tmp_path, json.dumps(
             {"mode": "weights", "polygon": SQUARE,
@@ -467,6 +515,26 @@ class TestLabel:
         fixture = write_json(tmp_path / "pts.json",
                              {"points": [[0.0, 0.0], [1.0]]})
         assert run_cli("label", "--input", fixture).returncode == 2
+
+    def test_non_number_points(self, tmp_path):
+        fixture = write_json(tmp_path / "pts.json",
+                             {"points": [[True, 0], [1, "2"]]})
+        res = run_cli("label", "--input", fixture)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe", b'{"points": [[1%s]]}' % (b"0" * 5000)])
+    def test_undecodable_input(self, tmp_path, text):
+        # invalid UTF-8, and an integer too long to parse (Python 3.11 on)
+        # or to convert to a float
+        fixture = tmp_path / "pts.json"
+        fixture.write_bytes(text)
+        res = run_cli("label", "--input", str(fixture))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_points(self, tmp_path, bad):

@@ -36,9 +36,9 @@ class TestEqualize:
 
     def test_result_reproducible_from_parts(self):
         res = equalize_perimeters(SQUARE, 2, tol=1e-6, seed=0)
-        pd = power_diagram(SQUARE, res.sites, res.weights)
-        assert pd.areas == pytest.approx(res.diagram.areas, rel=1e-12)
-        assert pd.perimeters == pytest.approx(res.diagram.perimeters, rel=1e-12)
+        assert power_diagram(SQUARE, res.sites, res.weights) == res.diagram
+        assert res.spread == perimeter_spread(res.diagram)
+        assert res.converged == (res.spread <= 1e-6)
 
     def test_needs_two_parts(self):
         with pytest.raises(ValueError):
@@ -50,7 +50,7 @@ class TestEqualize:
         res = equalize_perimeters(support.UNIT_TRIANGLE, 3, tol=1e-12,
                                   max_evals=3)
         assert not res.converged
-        assert res.evaluations <= 3 + 1
+        assert res.evaluations <= 3
         assert res.sites is not None and len(res.sites) == 3
         assert res.spread > 0.0
 
@@ -78,27 +78,6 @@ class TestEqualize:
 
 
 class TestSearchEnds:
-    def test_failed_polish_returns_the_best_iterate(self, monkeypatch):
-        polished = equalize_perimeters(SQUARE, 2, tol=1e-6, seed=0)
-        real = equalize.solve_equal_measure_weights
-        polish_starts = []
-
-        def failing_polish(polygon, sites, tol, **kwargs):
-            if tol == 1e-12:
-                polish_starts.append(kwargs["w0"])
-                raise WeightSolveError("polish failed")
-            return real(polygon, sites, tol=tol, **kwargs)
-
-        monkeypatch.setattr(equalize, "solve_equal_measure_weights", failing_polish)
-        res = equalize_perimeters(SQUARE, 2, tol=1e-6, seed=0)
-        assert len(polish_starts) == 1
-        assert res.sites == polished.sites
-        assert res.evaluations == polished.evaluations
-        assert res.weights.values == tuple(polish_starts[0])
-        assert res.diagram == power_diagram(SQUARE, res.sites, res.weights)
-        assert res.spread == perimeter_spread(res.diagram)
-        assert res.converged == (res.spread <= 1e-6)
-
     def test_no_equal_area_diagram_is_an_equalize_error(self, monkeypatch):
         with pytest.raises(EqualizeError):
             equalize_perimeters(SQUARE, 2, max_evals=0)
@@ -134,7 +113,7 @@ class TestGauge:
 
         def measures(lam):
             sts = Sites(tuple(map(tuple, center + lam * (sites - center))))
-            wts = solve_equal_measure_weights(QUADRILATERAL, sts, tol=1e-12)
+            wts, _ = solve_equal_measure_weights(QUADRILATERAL, sts, tol=1e-12)
             pd = power_diagram(QUADRILATERAL, sts, wts)
             return np.array(pd.areas), np.array(pd.perimeters)
 

@@ -94,12 +94,12 @@ class TestAreaJacobian:
 
 class TestSolve:
     def test_symmetric_pair_gets_zero_weights(self):
-        w = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.75, 0.5)))
+        w, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.75, 0.5)))
         assert w.values == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_closed_form_pair(self):
-        w = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.6, 0.5)),
-                                        tol=1e-12)
+        w, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.6, 0.5)),
+                                           tol=1e-12)
         assert w.values[0] == pytest.approx(0.02625, abs=1e-9)
         assert w.values[1] == pytest.approx(-0.02625, abs=1e-9)
 
@@ -112,7 +112,7 @@ class TestSolve:
             c, s = np.cos(angle), np.sin(angle)
             dx, dy = p[0] - cx, p[1] - cy
             sites.append((cx + c * dx - s * dy, cy + s * dx + c * dy))
-        w = solve_equal_measure_weights(tri, tuple(sites), tol=1e-12)
+        w, _ = solve_equal_measure_weights(tri, tuple(sites), tol=1e-12)
         assert np.abs(w.values).max() < 1e-9
 
     def test_random_instances_hit_tight_tolerance(self):
@@ -121,7 +121,7 @@ class TestSolve:
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 5)
             t0 = time.time()
-            w = solve_equal_measure_weights(poly, sites, tol=1e-10)
+            w, _ = solve_equal_measure_weights(poly, sites, tol=1e-10)
             elapsed = time.time() - t0
             pd = power_diagram(poly, sites, w)
             frac = np.array(pd.areas) / poly.area
@@ -132,8 +132,8 @@ class TestSolve:
         rng = np.random.default_rng(97)
         poly = support.random_convex_polygon(rng)
         sites = support.random_sites_inside(rng, poly, 4)
-        a = solve_equal_measure_weights(poly, sites)
-        b = solve_equal_measure_weights(poly, sites)
+        a, _ = solve_equal_measure_weights(poly, sites)
+        b, _ = solve_equal_measure_weights(poly, sites)
         assert a.values == b.values
 
     def test_unique_across_restarts(self):
@@ -142,12 +142,12 @@ class TestSolve:
         sites = support.random_sites_inside(rng, poly, 5)
         tol = 1e-10
         base = np.array(
-            solve_equal_measure_weights(poly, sites, tol=tol).values)
+            solve_equal_measure_weights(poly, sites, tol=tol)[0].values)
         for _ in range(10):
             w0 = rng.normal(scale=0.05 * np.sqrt(poly.area), size=5)
             w0 -= w0.mean()
-            w = solve_equal_measure_weights(poly, sites, tol=tol,
-                                            w0=tuple(w0))
+            w, _ = solve_equal_measure_weights(poly, sites, tol=tol,
+                                               w0=tuple(w0))
             assert np.abs(np.array(w.values) - base).max() <= 10 * tol
 
     def test_continuity_in_sites(self):
@@ -157,13 +157,13 @@ class TestSolve:
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 4)
             base = np.array(
-                solve_equal_measure_weights(poly, sites, tol=1e-12).values)
+                solve_equal_measure_weights(poly, sites, tol=1e-12)[0].values)
             bump = rng.normal(size=(4, 2))
             bump *= delta / np.abs(bump).max()
             moved = tuple((s[0] + b[0], s[1] + b[1])
                           for s, b in zip(sites, bump))
             shifted = np.array(
-                solve_equal_measure_weights(poly, moved, tol=1e-12).values)
+                solve_equal_measure_weights(poly, moved, tol=1e-12)[0].values)
             assert np.abs(shifted - base).max() < 1e3 * delta
 
     def test_relabeling_sites_relabels_weights(self):
@@ -171,22 +171,21 @@ class TestSolve:
         poly = support.random_convex_polygon(rng)
         sites = support.random_sites_inside(rng, poly, 5)
         base = np.array(solve_equal_measure_weights(poly, sites,
-                                                    tol=1e-12).values)
+                                                    tol=1e-12)[0].values)
         perm = list(rng.permutation(5))
         moved = tuple(sites[k] for k in perm)
         permuted = np.array(solve_equal_measure_weights(poly, moved,
-                                                        tol=1e-12).values)
+                                                        tol=1e-12)[0].values)
         assert np.abs(permuted - base[perm]).max() < 1e-8
 
     def test_single_site(self):
-        w = solve_equal_measure_weights(SQUARE, ((0.3, 0.7),))
+        w, _ = solve_equal_measure_weights(SQUARE, ((0.3, 0.7),))
         assert w.values == (0.0,)
 
     @pytest.mark.parametrize("site", [(0.3, 0.7), (3.0, -2.0)])
     @pytest.mark.parametrize("w0", [None, (0.7,)])
     def test_single_site_needs_no_iteration(self, site, w0):
-        w, stats = solve_equal_measure_weights(SQUARE, (site,), w0=w0,
-                                               return_stats=True)
+        w, stats = solve_equal_measure_weights(SQUARE, (site,), w0=w0)
         assert w.values == (0.0,)
         assert stats["iterations"] == 0 and stats["residual"] == 0.0
         assert stats["diagram"].cells == (SQUARE,)
@@ -198,7 +197,7 @@ class TestSolve:
     def test_rescues_far_site(self):
         # one site far in a corner still ends with equal areas
         sites = ((0.01, 0.01), (0.6, 0.55), (0.55, 0.6))
-        w = solve_equal_measure_weights(SQUARE, sites, tol=1e-10)
+        w, _ = solve_equal_measure_weights(SQUARE, sites, tol=1e-10)
         pd = power_diagram(SQUARE, sites, w)
         assert np.abs(np.array(pd.areas) - 1 / 3).max() <= 1e-9
 
@@ -209,7 +208,7 @@ class TestSolve:
     ])
     def test_sites_outside_converge(self, sites):
         # every site outside the triangle, most cells empty unweighted
-        w = solve_equal_measure_weights(RIGHT_TRIANGLE, sites, tol=1e-10)
+        w, _ = solve_equal_measure_weights(RIGHT_TRIANGLE, sites, tol=1e-10)
         areas = np.array(power_diagram(RIGHT_TRIANGLE, sites, w).areas)
         assert np.abs(areas - 0.5 / len(sites)).max() <= 1e-9
 
@@ -238,11 +237,11 @@ class TestSolve:
         for _ in range(4):
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 5)
-            base = np.array(solve_equal_measure_weights(poly, sites, tol=tol).values)
+            base = np.array(solve_equal_measure_weights(poly, sites, tol=tol)[0].values)
             w0 = np.zeros(5)
             w0[0] = -10.0 * poly.area
             assert power_diagram(poly, sites, w0).cells[0] is None
-            w = solve_equal_measure_weights(poly, sites, tol=tol, w0=tuple(w0))
+            w, _ = solve_equal_measure_weights(poly, sites, tol=tol, w0=tuple(w0))
             assert np.abs(np.array(w.values) - base).max() <= 10 * tol
 
     def test_nonconvergence_reports_best(self):
@@ -258,6 +257,7 @@ class TestSolve:
         assert len(err.weights) == 5
         assert err.iterations <= 3
         assert err.residual is not None and err.residual > 0
+        assert err.diagram == power_diagram(poly, sites, err.weights)
 
     def test_coincident_sites_rejected(self):
         with pytest.raises(ValueError):
@@ -265,14 +265,18 @@ class TestSolve:
 
     def test_stats(self):
         w, stats = solve_equal_measure_weights(
-            SQUARE, ((0.25, 0.5), (0.6, 0.5)), return_stats=True)
+            SQUARE, ((0.25, 0.5), (0.6, 0.5)))
         assert stats["iterations"] >= 1
         assert stats["residual"] <= 1e-10
         assert w.values[0] == pytest.approx(0.02625, abs=1e-8)
 
     def test_stats_diagram_is_the_solved_diagram(self):
-        sites = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8))
-        w, stats = solve_equal_measure_weights(SQUARE, sites, return_stats=True)
-        pd = power_diagram(SQUARE, sites, w)
-        assert stats["diagram"].areas == pytest.approx(pd.areas, abs=1e-12)
-        assert stats["diagram"].perimeters == pytest.approx(pd.perimeters, abs=1e-12)
+        # the returned weights rebuild the returned diagram bit for bit: from
+        # zero, from w0, through the Voronoi seed and for a single site
+        inside = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8))
+        half_outside = ((0.2, 0.3), (3.0, 0.2), (0.5, 3.0), (0.4, 0.6))
+        assert None in power_diagram(SQUARE, half_outside).cells
+        for sites, w0 in ((inside, None), (inside, (0.3, -0.1, 0.05)),
+                          (half_outside, None), (((0.3, 0.7),), None)):
+            w, stats = solve_equal_measure_weights(SQUARE, sites, w0=w0)
+            assert power_diagram(SQUARE, sites, w) == stats["diagram"]
