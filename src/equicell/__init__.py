@@ -12,9 +12,8 @@ from .poset import (BudgetExceededError, DEFAULT_BUDGET, FacePoset,
                     poset_to_json, resolve_budget, validate_covers)
 from .obstruction import (ObstructionReport, RidgeOrbitCochain, binomial_gcd,
                           binomial_valuation, coboundary_witness,
-                          expected_incidence_row, facet_incidence_vector,
-                          is_prime_power, obstruction_report, prime_power,
-                          ridge_orbit_index, verify_coboundary_on_complex)
+                          expected_incidence_row, is_prime_power, obstruction_report,
+                          prime_power, ridge_orbit_index, verify_coboundary_on_complex)
 from .geometry import AREA_EPS, MERGE_EPS, ConvexPolygon
 from .powerdiagram import (PowerDiagram, Sites, Weights, perimeter_spread,
                            point_cell_index, power_diagram)

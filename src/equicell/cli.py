@@ -28,7 +28,7 @@ from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
 from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION,
                     enumerate_cells, euler_characteristic, f_vector, poset_csv_chunks,
-                    poset_json_chunks)
+                    poset_json_chunks, resolve_budget)
 from .powerdiagram import Sites, perimeter_spread
 from .svgout import render_power_diagram_svg
 from .weights import WeightSolveError, solve_equal_measure_weights
@@ -116,6 +116,8 @@ def _int_digits_unlimited():
 def cmd_obstruction(args) -> int:
     try:
         rep = obstruction_report(args.d, args.n, budget=args.budget)
+        counts = (facet_ridge_class_counts(args.d, args.n, budget=args.budget)
+                  if args.verify else None)
     except (BudgetExceededError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
     print("n=%d d=%d gcd=%d group=%s map_exists=%s"
@@ -135,19 +137,15 @@ def cmd_obstruction(args) -> int:
             print("witness=%s" % (rep.witness.values,))
         text = jsonio.dumps(out) if args.output is not None else None
     verified = True
-    if args.verify:
-        try:
-            counts = facet_ridge_class_counts(args.d, args.n, budget=args.budget)
-            want = expected_incidence_row(args.n)
-            if any(tuple(row) != want for row in counts):
-                print("incidence check FAILED", file=sys.stderr)
-                verified = False
-            elif rep.witness is not None and any(  # object dtype: exact ints
-                    v != 1 for v in counts.astype(object) @ rep.witness.values):
-                print("coboundary check FAILED", file=sys.stderr)
-                verified = False
-        except (BudgetExceededError, ValueError) as e:
-            return _fail(str(e), EXIT_INPUT)
+    if counts is not None:
+        want = expected_incidence_row(args.n)
+        if any(tuple(row) != want for row in counts):
+            print("incidence check FAILED", file=sys.stderr)
+            verified = False
+        elif rep.witness is not None and any(  # object dtype: exact ints
+                v != 1 for v in counts.astype(object) @ rep.witness.values):
+            print("coboundary check FAILED", file=sys.stderr)
+            verified = False
         print("verify=%s" % ("ok" if verified else "FAILED"))
     if text is not None:
         _emit(text, args.output)
@@ -243,6 +241,15 @@ def cmd_equipart(args) -> int:
         nparts = data.get("n")
         if not isinstance(nparts, int) or nparts < 2:
             return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)
+        try:
+            limit = resolve_budget()
+        except ValueError as e:
+            return _fail(str(e), EXIT_INPUT)
+        need = nparts * (nparts - 1)
+        if need > limit:
+            with _int_digits_unlimited():  # n may have as many digits as JSON allows
+                return _fail("equalize with n=%d needs %d site pairs per power-diagram"
+                             " build, budget is %d" % (nparts, need, limit), EXIT_INPUT)
         try:
             result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)
         except EqualizeError as e:

@@ -5,6 +5,8 @@ import json
 import math
 import numbers
 
+INDENT = 2  # spaces per nesting level; poset.poset_json_chunks writes the same layout
+
 
 def format_real(x: float) -> str:
     x = float(x)
@@ -13,14 +15,14 @@ def format_real(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
+def _encode(obj, level: int) -> str:
     kind = type(obj)
     if kind is int:
         return str(obj)
     if kind is float:
         return format_real(obj)
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = " " * (INDENT * level)
+    inner = " " * (INDENT * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -30,7 +32,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [inner + _encode(v, indent, level + 1) for v in obj]
+        items = [inner + _encode(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -39,7 +41,7 @@ def _encode(obj, indent: int, level: int) -> str:
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError("JSON keys must be strings, got %r" % (k,))
-            items.append(inner + json.dumps(k) + ": " + _encode(v, indent, level + 1))
+            items.append(inner + json.dumps(k) + ": " + _encode(v, level + 1))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     # numpy scalars and other registered numbers
     if isinstance(obj, numbers.Integral):
@@ -49,5 +51,5 @@ def _encode(obj, indent: int, level: int) -> str:
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _encode(obj, 0) + "\n"

@@ -14,28 +14,13 @@ the letters they span must increase, so each label names its stratum uniquely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 
 class InvalidLabelError(ValueError):
     """Label data that violates the combinatorial rules."""
-
-
-def _governing_row(sigma, seps, n):
-    # gov[(a-1)*n + (b-1)] = min separator strictly between a and b when a
-    # precedes b in sigma, else 0.  Running minimum, O(n^2) total.
-    gov = [0] * (n * n)
-    for k in range(n):
-        a = sigma[k]
-        lo = None
-        for m in range(k + 1, n):
-            s = seps[m - 1]
-            if lo is None or s < lo:
-                lo = s
-            gov[(a - 1) * n + sigma[m] - 1] = lo
-    return tuple(gov)
 
 
 @dataclass(frozen=True)
@@ -51,7 +36,6 @@ class CellLabel:
     sigma: tuple[int, ...]
     seps: tuple[int, ...]
     d: int
-    gov: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = tuple(int(v) for v in self.sigma)
@@ -78,7 +62,6 @@ class CellLabel:
                 raise InvalidLabelError(
                     "letters %d,%d tied by separator %d must increase"
                     % (sigma[k], sigma[k + 1], top))
-        object.__setattr__(self, "gov", _governing_row(sigma, seps, n))
 
     @property
     def n(self) -> int:
@@ -180,10 +163,8 @@ def separator_min(label: CellLabel, a: int, b: int) -> tuple[str, int]:
     n = label.n
     if a == b or not (1 <= a <= n) or not (1 <= b <= n):
         raise InvalidLabelError("need two distinct letters in 1..%d" % n)
-    j = label.gov[(a - 1) * n + (b - 1)]
-    if j:
-        return ("before", j)
-    return ("after", label.gov[(b - 1) * n + (a - 1)])
+    i, k = label.sigma.index(a), label.sigma.index(b)
+    return ("before" if i < k else "after", min(label.seps[min(i, k):max(i, k)]))
 
 
 def group_action(pi: Sequence[int], label: CellLabel) -> CellLabel:

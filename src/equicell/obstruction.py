@@ -13,14 +13,13 @@ when n is not a prime power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 import numpy as np
 
 from .labels import CellLabel, InvalidLabelError
-from .poset import (BudgetExceededError, FacePoset, _cell_labels, _check_budget, _grid,
-                    _label_rows, KIND_COMPLEMENT, boundary, cond_rows, gov_rows,
-                    resolve_budget)
+from .poset import (BudgetExceededError, _cell_labels, _grid, _label_rows, boundary,
+                    cond_rows, gov_rows, resolve_budget)
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,6 @@ def ridge_orbit_index(ridge: CellLabel) -> int:
     if len(low) != 1 or not rest_ok:
         raise InvalidLabelError("label %s is not one dimension below the top" % ridge)
     return low[0] + 1
-
-
-def facet_incidence_vector(facet: CellLabel, poset: FacePoset) -> tuple[int, ...]:
-    """Count boundary ridges of a facet by class, read off the poset covers."""
-    n = facet.n
-    top = (facet.d - 1) * (n - 1)
-    i = poset.index(facet)
-    if poset.kind != KIND_COMPLEMENT or poset.dims[i] != top:
-        raise ValueError("expected a top cell of a cell-kind poset")
-    counts = [0] * (n - 1)
-    for lo in poset.lower_covers(i):
-        counts[ridge_orbit_index(poset.elements[lo]) - 1] += 1
-    return tuple(counts)
 
 
 def binomial_gcd(n: int) -> int:
@@ -201,21 +187,9 @@ def obstruction_report(d: int, n: int, budget: int | None = None) -> Obstruction
                              map_exists=exists, witness=witness)
 
 
-def _cells(d: int, n: int, words) -> np.ndarray:
-    return _label_rows(*_grid(d, n, words))
-
-
 def top_cells(d: int, n: int) -> list[CellLabel]:
     """All facets (every separator equal to d), in lexicographic sigma order."""
-    return _cell_labels(_cells(d, n, [(d,) * (n - 1)]), d)
-
-
-def ridge_cells(d: int, n: int) -> list[CellLabel]:
-    """All ridges (one separator d-1, the rest d), lexicographic (sigma, seps)."""
-    if d < 2:
-        raise ValueError("ridges need d >= 2")
-    words = d - np.eye(n - 1, dtype=np.int64)
-    return _cell_labels(_cells(d, n, words), d)
+    return _cell_labels(_label_rows(*_grid(d, n, [(d,) * (n - 1)])), d)
 
 
 def facet_ridge_class_counts(d: int, n: int,
@@ -225,13 +199,20 @@ def facet_ridge_class_counts(d: int, n: int,
     Rows follow `top_cells`.  `boundary` depends on sigma only through
     positions, so the faces of the identity facet give every facet's faces
     as position maps.  A ridge among them counts only once the face test
-    confirms, facet by facet, that it lies in the facet.
+    confirms, facet by facet, that it lies in the facet.  Those n! (2^n - 2)
+    face tests, one per facet and ridge move, must fit in the budget.
     """
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    _check_budget(d, n, KIND_COMPLEMENT, budget)
+    limit = resolve_budget(budget)
+    # n! (2^n - 2) >= 4^(n-1): a large n is refused without forming the product
+    need = factorial(n) * (2 ** n - 2) if 2 * (n - 1) <= limit.bit_length() else None
+    if need is None or need > limit:
+        raise BudgetExceededError(
+            "verifying (d=%d, n=%d) needs %s face tests, budget is %d"
+            % (d, n, "n! (2^n - 2)" if need is None else need, limit))
     top = (d,) * (n - 1)
-    facets = _cells(d, n, [top])
+    facets = _label_rows(*_grid(d, n, [top]))
     gov = gov_rows(facets)
     counts = np.zeros((len(facets), n - 1), dtype=np.int64)
     for places, seps in boundary(tuple(range(1, n + 1)), top):

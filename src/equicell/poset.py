@@ -122,26 +122,6 @@ def _check_args(d, n, kind):
         raise ValueError("need d >= 1 and n >= 2")
 
 
-def _cond_pair(x: CellLabel, y: CellLabel) -> bool:
-    # cond(x, y): every pair ordered by x is compatible, at least as tightly, in y
-    n = x.n
-    gx, gy = x.gov, y.gov
-    for a in range(n):
-        row = a * n
-        for b in range(n):
-            jx = gx[row + b]
-            if jx == 0:
-                continue
-            jy = gy[row + b]
-            if jy and jy <= jx:
-                continue
-            jyo = gy[b * n + a]
-            if jyo and jyo < jx:
-                continue
-            return False
-    return True
-
-
 def _check_pair_compat(x: CellLabel, y: CellLabel):
     if x.d != y.d or x.n != y.n:
         raise InvalidLabelError("labels live on different (d, n)")
@@ -150,7 +130,8 @@ def _check_pair_compat(x: CellLabel, y: CellLabel):
 def is_face_stratification(coarse: CellLabel, fine: CellLabel) -> bool:
     """True when the stratum of `fine` lies in the closure of that of `coarse`."""
     _check_pair_compat(coarse, fine)
-    return _cond_pair(fine, coarse)
+    rows = _rows([fine, coarse])
+    return bool(_leq(KIND_STRATIFICATION, rows[:1], rows[1:])[0])
 
 
 def is_face_complement(lower: CellLabel, upper: CellLabel) -> bool:
@@ -158,7 +139,8 @@ def is_face_complement(lower: CellLabel, upper: CellLabel) -> bool:
     _check_pair_compat(lower, upper)
     if not (lower.is_cell and upper.is_cell):
         raise InvalidLabelError("cell face test needs separators <= d")
-    return _cond_pair(upper, lower)
+    rows = _rows([lower, upper])
+    return bool(_leq(KIND_COMPLEMENT, rows[:1], rows[1:])[0])
 
 
 def _grid(d: int, n: int, words):
@@ -307,13 +289,19 @@ def cond_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ok.all(axis=(-2, -1))
 
 
+def _rows(labels) -> np.ndarray:
+    """The rows (sigma, seps) of a nonempty list of CellLabels on one
+    (d, n), as one small-int array."""
+    dtype = np.min_scalar_type(max(labels[0].n, labels[0].d + 1))
+    return np.array([lab.sigma + lab.seps for lab in labels], dtype=dtype)
+
+
 def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
     """Boolean matrix F with F[i, j] = (lowers[i] is a face of uppers[j])."""
     out = np.zeros((len(lowers), len(uppers)), dtype=bool)
     if not lowers or not uppers:
         return out
-    lo, hi = (gov_rows(np.array([lab.sigma + lab.seps for lab in labs], dtype=np.int16))
-              for labs in (lowers, uppers))
+    lo, hi = gov_rows(_rows(lowers)), gov_rows(_rows(uppers))
     for s in range(0, len(lo), 64):   # 64 lowers at a time bound the temporaries
         blk = lo[s:s + 64, None]
         out[s:s + 64] = (cond_rows(hi, blk) if kind == KIND_COMPLEMENT

@@ -1,13 +1,19 @@
 """Shared helpers for the test suite: poset property checks, random convex
 polygon generation, rigid-motion utilities, the all-pairs power diagram
 that the clip-skipping build must reproduce bit for bit, and the forward
-witness construction that the backward pass must reproduce."""
+witness construction that the backward pass must reproduce.
+
+It also holds scalar oracles for the cell complex, written apart from the
+library's row-wise code: `governing_row` and `cond_pair`, the pairwise face
+criterion one label pair at a time; `facet_incidence_vector`, a facet's
+ridge classes read off stored poset covers; and `ridge_cells`, the ridges
+picked out of all enumerated labels."""
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from equicell import (ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
-                      is_face_complement, is_face_stratification)
+                      enumerate_labels, ridge_orbit_index)
 from equicell.geometry import (AREA_EPS, _merge_close, polygon_area,
                                polygon_perimeter)
 from equicell.obstruction import _extended_gcd
@@ -29,13 +35,60 @@ def order_matrix(poset):
     return mat
 
 
+def governing_row(label):
+    """Governing indices of a label, flattened: entry (a-1)*n + (b-1) is the
+    least separator strictly between letters a and b when a precedes b in
+    sigma, else 0.  A running minimum per letter, O(n^2) in all."""
+    sigma, seps, n = label.sigma, label.seps, label.n
+    gov = [0] * (n * n)
+    for k in range(n):
+        lo = None
+        for m in range(k + 1, n):
+            lo = seps[m - 1] if lo is None else min(lo, seps[m - 1])
+            gov[(sigma[k] - 1) * n + sigma[m] - 1] = lo
+    return tuple(gov)
+
+
+def cond_pair(x, y):
+    """cond(x, y): every pair of letters that x orders is ordered by y at
+    least as tightly, or reversed in y strictly below x's separator."""
+    n = x.n
+    gx, gy = governing_row(x), governing_row(y)
+    for a in range(n):
+        for b in range(n):
+            jx = gx[a * n + b]
+            if jx == 0:
+                continue
+            jy, jyo = gy[a * n + b], gy[b * n + a]
+            if not ((jy and jy <= jx) or (jyo and jyo < jx)):
+                return False
+    return True
+
+
 def scalar_leq(poset, a, b):
-    """Pairwise order via the scalar predicate (independent of face_matrix)."""
+    """Pairwise order via the scalar criterion (independent of face_matrix)."""
     if a == b:
         return True
     if poset.kind == KIND_COMPLEMENT:
-        return is_face_complement(a, b)
-    return is_face_stratification(b, a)
+        return cond_pair(b, a)
+    return cond_pair(a, b)
+
+
+def ridge_cells(d, n):
+    """All ridges (one separator d-1, the rest d), lexicographic (sigma, seps)."""
+    return [lab for lab in enumerate_labels(d, n) if sum(lab.seps) == d * (n - 1) - 1]
+
+
+def facet_incidence_vector(facet, poset):
+    """Count boundary ridges of a facet by class, read off the poset covers."""
+    n = facet.n
+    i = poset.index(facet)
+    if poset.kind != KIND_COMPLEMENT or poset.dims[i] != (facet.d - 1) * (n - 1):
+        raise ValueError("expected a top cell of a cell-kind poset")
+    counts = [0] * (n - 1)
+    for lo in poset.lower_covers(i):
+        counts[ridge_orbit_index(poset.elements[lo]) - 1] += 1
+    return tuple(counts)
 
 
 def check_partial_order(poset, sample_rng=None):

@@ -33,7 +33,6 @@ from equicell import (
 )
 from equicell.obstruction import (
     expected_incidence_row,
-    facet_incidence_vector,
     top_cells,
 )
 
@@ -42,6 +41,7 @@ from support import (
     UNIT_TRIANGLE,
     check_diamond,
     check_partial_order,
+    facet_incidence_vector,
     random_sites_inside,
     rigid_motion,
     vertex_set_close,

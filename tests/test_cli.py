@@ -171,6 +171,29 @@ class TestObstruction:
     def test_verify_budget_exceeded(self):
         res = run_cli("obstruction", "--n", "6", "--verify", "--budget", "10")
         assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        # 8! facets times 2^8 - 2 ridge moves
+        res = run_cli("obstruction", "--n", "8", "--verify", timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: verifying (d=2, n=8) needs 10241280 face tests, budget is 5000000"]
+
+    def test_verify_budget_ignores_d(self):
+        # the facets and their ridge moves do not grow with d
+        res = run_cli("obstruction", "--n", "6", "--d", "10", "--verify")
+        assert res.returncode == 0
+        assert "verify=ok" in res.stdout
+
+    def test_verify_of_a_huge_n_is_refused_at_once(self):
+        # n! (2^n - 2) is not formed for this n: it would take minutes
+        res = run_cli("obstruction", "--n", str(2 ** 22), "--verify", timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: verifying (d=2, n=4194304) needs n! (2^n - 2) face tests,"
+            " budget is 5000000"]
 
     def test_witness_over_budget_exits_at_once(self):
         # 10**11 is not a prime power: its witness would have 10**11 - 1 entries
@@ -482,6 +505,20 @@ class TestEquipart:
         assert err.startswith("error: no equal-area diagram in ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_equalize_n_over_budget_rejected(self, tmp_path):
+        # one build checks all n(n - 1) site pairs; this used to run for minutes
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "equalize", "polygon": SQUARE, "n": 100000})
+        res = run_cli("equipart", "--input", fixture, timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: equalize with n=100000 needs 9999900000 site pairs per"
+            " power-diagram build, budget is 5000000"]
+        res = run_cli("equipart", "--input", fixture, timeout=5,
+                      env_extra={"EQUICELL_BUDGET": "9999899999"})
+        assert res.returncode == 2 and "budget is 9999899999" in res.stderr
 
     def test_tol_precedence_flag_over_file(self, tmp_path):
         fixture = self.weights_fixture(tmp_path, tol=1e-30)

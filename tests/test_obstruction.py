@@ -10,12 +10,12 @@ import pytest
 import support
 from equicell import (BudgetExceededError, CellLabel, RidgeOrbitCochain, binomial_gcd,
                       binomial_valuation, coboundary_witness, enumerate_cells,
-                      expected_incidence_row, facet_incidence_vector,
-                      is_prime_power, obstruction_report, prime_power,
-                      ridge_orbit_index, verify_coboundary_on_complex)
+                      expected_incidence_row, is_prime_power, obstruction_report,
+                      prime_power, ridge_orbit_index, verify_coboundary_on_complex)
 from equicell import obstruction
-from equicell.obstruction import facet_ridge_class_counts, ridge_cells, top_cells
+from equicell.obstruction import facet_ridge_class_counts, top_cells
 from equicell.poset import KIND_COMPLEMENT, face_matrix
+from support import facet_incidence_vector, ridge_cells
 
 
 def carries_adding(a, b, p):

@@ -14,10 +14,11 @@ from equicell import (BudgetExceededError, CellLabel,
                       enumerate_cells, enumerate_labels, euler_characteristic,
                       f_vector, group_action, is_face_complement,
                       is_face_stratification, poset_from_json, poset_to_json,
-                      resolve_budget, stratum_dimension, validate_covers)
+                      resolve_budget, separator_min, stratum_dimension,
+                      validate_covers)
 from equicell import poset as poset_module
 from equicell import cli, jsonio
-from equicell.poset import (_cond_pair, _cover_count, _leq, boundary, cond_rows,
+from equicell.poset import (_cover_count, _leq, boundary, cond_rows,
                             cover_count, face_matrix, gov_rows,
                             label_count_bound, poset_csv_chunks)
 
@@ -450,17 +451,30 @@ class TestColumnar:
     def test_face_test_matches_scalar_on_all_pairs(self, d, n, kind):
         p = enumerate_cells(d, n, kind)
         gov = gov_rows(p.labels)
-        assert [tuple(g.ravel().tolist()) for g in gov] == [lab.gov for lab in p.elements]
+        oracle = [support.governing_row(lab) for lab in p.elements]
+        assert [tuple(g.ravel().tolist()) for g in gov] == oracle
+        for lab, row in zip(p.elements, oracle):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    if a != b:
+                        j = row[(a - 1) * n + b - 1]
+                        assert separator_min(lab, a, b) == (
+                            ("before", j) if j else ("after", row[(b - 1) * n + a - 1]))
         size = len(p.labels)
         x, y = np.repeat(np.arange(size), size), np.tile(np.arange(size), size)
-        want = [_cond_pair(p.elements[i], p.elements[j])
+        want = [support.cond_pair(p.elements[i], p.elements[j])
                 for i, j in zip(x.tolist(), y.tolist())]
         assert cond_rows(gov[x], gov[y]).tolist() == want
-        scalar = [is_face_complement(p.elements[i], p.elements[j])
-                  if kind == KIND_COMPLEMENT else
-                  is_face_stratification(p.elements[j], p.elements[i])
-                  for i, j in zip(x.tolist(), y.tolist())]
+        # lower x[k] under upper y[k]: cond(upper, lower) for cells,
+        # cond(lower, upper) for strata, read off the same all-pairs table
+        scalar = (np.array(want).reshape(size, size).T.ravel().tolist()
+                  if kind == KIND_COMPLEMENT else want)
         assert _leq(kind, p.labels[x], p.labels[y], chunk=1000).tolist() == scalar
+        pred = [is_face_complement(p.elements[i], p.elements[j])
+                if kind == KIND_COMPLEMENT else
+                is_face_stratification(p.elements[j], p.elements[i])
+                for i, j in zip(x.tolist(), y.tolist())]
+        assert pred == scalar
 
     @pytest.mark.parametrize("d,n,kind", [(1, 2, KIND_COMPLEMENT), (1, 3, KIND_COMPLEMENT),
                                           (2, 2, KIND_COMPLEMENT), (3, 5, KIND_COMPLEMENT),
