@@ -5,10 +5,10 @@ counts), obstruction (run the map-existence decision), equipart (equal-area /
 equal-perimeter decompositions of a convex polygon), label (classify a point
 configuration).  Exit codes: 0 success, 1 failed internal check or
 non-convergence, 2 malformed input, enumeration budget exceeded or an output
-file that cannot be written.  Outputs are written only after all computation
-succeeds, each through a temporary file in the target directory that is then
-renamed over the target, so no run leaves a partial file, and identical
-invocations produce identical bytes.
+file or stdout that cannot be written.  Outputs are written only after all
+computation succeeds, each through a temporary file in the target directory
+that is then renamed over the target, so no run leaves a partial file, and
+identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ def _int_digits_unlimited():
 def cmd_obstruction(args) -> int:
     try:
         rep = obstruction_report(args.d, args.n, budget=args.budget)
-        counts = (facet_ridge_class_counts(args.d, args.n, budget=args.budget)
+        counts = (facet_ridge_class_counts(args.d, args.n, args.budget).tolist()
                   if args.verify else None)
     except (BudgetExceededError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
@@ -137,13 +137,12 @@ def cmd_obstruction(args) -> int:
             print("witness=%s" % (rep.witness.values,))
         text = jsonio.dumps(out) if args.output is not None else None
     verified = True
-    if counts is not None:
-        want = expected_incidence_row(args.n)
-        if any(tuple(row) != want for row in counts):
+    if counts is not None:  # one facet's row stands for all (obstruction docstring)
+        if tuple(counts) != expected_incidence_row(args.n):
             print("incidence check FAILED", file=sys.stderr)
             verified = False
-        elif rep.witness is not None and any(  # object dtype: exact ints
-                v != 1 for v in counts.astype(object) @ rep.witness.values):
+        elif rep.witness is not None and sum(
+                c * x for c, x in zip(counts, rep.witness.values)) != 1:
             print("coboundary check FAILED", file=sys.stderr)
             verified = False
         print("verify=%s" % ("ok" if verified else "FAILED"))
@@ -222,6 +221,22 @@ def cmd_equipart(args) -> int:
         raw = data.get("sites")
         if not isinstance(raw, list) or not raw:
             return _fail("mode 'weights' needs sites", EXIT_INPUT)
+        nparts = len(raw)
+    else:
+        nparts = data.get("n")
+        if not isinstance(nparts, int) or nparts < 2:
+            return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)
+    try:
+        limit = resolve_budget()
+    except ValueError as e:
+        return _fail(str(e), EXIT_INPUT)
+    need = nparts * (nparts - 1)
+    if need > limit:
+        with _int_digits_unlimited():  # n may have as many digits as JSON allows
+            return _fail("%s with n=%d needs %d site pairs per power-diagram build,"
+                         " budget is %d" % (mode, nparts, need, limit), EXIT_INPUT)
+
+    if mode == "weights":
         try:
             sites = Sites(tuple((_number(x), _number(y)) for x, y in raw))
             check_finite_extent(polygon, sites.points)
@@ -238,18 +253,6 @@ def cmd_equipart(args) -> int:
             spread = None
         payload = _diagram_payload(diag, spread, iters, converged)
     else:
-        nparts = data.get("n")
-        if not isinstance(nparts, int) or nparts < 2:
-            return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)
-        try:
-            limit = resolve_budget()
-        except ValueError as e:
-            return _fail(str(e), EXIT_INPUT)
-        need = nparts * (nparts - 1)
-        if need > limit:
-            with _int_digits_unlimited():  # n may have as many digits as JSON allows
-                return _fail("equalize with n=%d needs %d site pairs per power-diagram"
-                             " build, budget is %d" % (nparts, need, limit), EXIT_INPUT)
         try:
             result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)
         except EqualizeError as e:
@@ -342,6 +345,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except OutputError as e:
         return _fail(str(e), EXIT_INPUT)
+    except BrokenPipeError as e:  # stdout closed: flush the rest to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail("cannot write stdout: %s" % (e.strerror or e), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -9,17 +9,20 @@ x_j to class j; its coboundary, with every incidence counted +1, takes the
 value sum_j x_j * C(n, j) on every facet.  The map exists iff some b reaches
 the value 1, i.e. iff gcd{C(n,1), ..., C(n,n-1)} = 1, which happens exactly
 when n is not a prime power.
+
+The facets form one free S_n-orbit, and renaming letters commutes with
+`boundary` and the face test, so the re-check on the complex reads the
+ridges of the identity facet alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
 from .labels import CellLabel, InvalidLabelError
-from .poset import (BudgetExceededError, _cell_labels, _grid, _label_rows, boundary,
-                    cond_rows, gov_rows, resolve_budget)
+from .poset import KIND_COMPLEMENT, BudgetExceededError, _leq, boundary, resolve_budget
 
 
 @dataclass(frozen=True)
@@ -187,53 +190,38 @@ def obstruction_report(d: int, n: int, budget: int | None = None) -> Obstruction
                              map_exists=exists, witness=witness)
 
 
-def top_cells(d: int, n: int) -> list[CellLabel]:
-    """All facets (every separator equal to d), in lexicographic sigma order."""
-    return _cell_labels(_label_rows(*_grid(d, n, [(d,) * (n - 1)])), d)
-
-
 def facet_ridge_class_counts(d: int, n: int,
                              budget: int | None = None) -> np.ndarray:
-    """Matrix (facets x classes) counting boundary ridges of each class.
-
-    Rows follow `top_cells`.  `boundary` depends on sigma only through
-    positions, so the faces of the identity facet give every facet's faces
-    as position maps.  A ridge among them counts only once the face test
-    confirms, facet by facet, that it lies in the facet.  Those n! (2^n - 2)
-    face tests, one per facet and ridge move, must fit in the budget.
-    """
+    """Ridges of the identity facet counted by class: the (n - 1,) row that
+    every facet shares (see the module docstring).  A move of `boundary`
+    counts once the face test confirms that its ridge lies in the facet.  The
+    2^n - 2 ridge rows of 2n - 1 entries each must fit in the budget."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
     limit = resolve_budget(budget)
-    # n! (2^n - 2) >= 4^(n-1): a large n is refused without forming the product
-    need = factorial(n) * (2 ** n - 2) if 2 * (n - 1) <= limit.bit_length() else None
+    # (2^n - 2)(2n - 1) >= 2^n: a large n is refused without forming the product
+    need = (2 ** n - 2) * (2 * n - 1) if n <= limit.bit_length() else None
     if need is None or need > limit:
         raise BudgetExceededError(
-            "verifying (d=%d, n=%d) needs %s face tests, budget is %d"
-            % (d, n, "n! (2^n - 2)" if need is None else need, limit))
-    top = (d,) * (n - 1)
-    facets = _label_rows(*_grid(d, n, [top]))
-    gov = gov_rows(facets)
-    counts = np.zeros((len(facets), n - 1), dtype=np.int64)
-    for places, seps in boundary(tuple(range(1, n + 1)), top):
-        if sum(seps) != len(seps) * d - 1:
-            continue  # not one dimension down: no ridge
-        cls = seps.index(d - 1)  # the one separator the move lowered
-        ridges = np.column_stack([facets[:, np.array(places) - 1],
-                                  np.tile(np.array(seps, facets.dtype), (len(facets), 1))])
-        counts[:, cls] += cond_rows(gov, gov_rows(ridges))
-    return counts
+            "verifying (d=%d, n=%d) needs %s ridge row entries, budget is %d"
+            % (d, n, "(2^n - 2)(2n - 1)" if need is None else need, limit))
+    identity, top = tuple(range(1, n + 1)), (d,) * (n - 1)
+    dtype = np.min_scalar_type(max(n, d + 1))
+    ridges = np.array([places + seps for places, seps in boundary(identity, top)
+                       if sum(seps) == len(seps) * d - 1], dtype=dtype)  # one dim down
+    facet = np.broadcast_to(np.array(identity + top, dtype=dtype), ridges.shape)
+    lowered = ridges[:, n:].argmin(axis=1)  # a ridge's class: its one d - 1 separator
+    return np.bincount(lowered[_leq(KIND_COMPLEMENT, ridges, facet)], minlength=n - 1)
 
 
 def verify_coboundary_on_complex(d: int, n: int, cochain: RidgeOrbitCochain,
-                                 budget: int | None = None) -> dict[CellLabel, int]:
-    """Evaluate the coboundary of a ridge-class cochain on every facet: the
-    incidences of `facet_ridge_class_counts` times the class values, each
-    incident ridge with coefficient +1, summed exactly in Python ints."""
+                                 budget: int | None = None) -> int:
+    """The coboundary of a ridge-class cochain on every facet, as one exact
+    int: the class counts of `facet_ridge_class_counts` times the values."""
     if cochain.n != n:
         raise ValueError("cochain is for n = %d, complex has n = %d" % (cochain.n, n))
-    counts = facet_ridge_class_counts(d, n, budget)
-    return dict(zip(top_cells(d, n), counts.astype(object) @ cochain.values))
+    counts = facet_ridge_class_counts(d, n, budget).tolist()
+    return sum(c * x for c, x in zip(counts, cochain.values))
 
 
 def expected_incidence_row(n: int) -> tuple[int, ...]:

@@ -105,6 +105,12 @@ def _check_budget(d, n, kind, budget, covers=False):
     """The budget, once the labels of (d, n, kind) fit in it and, with
     covers, their covers too."""
     limit = resolve_budget(budget)
+    top = _top(d, kind)
+    # n! top^(n-1) >= 2^((n-1) bitlen(top)) > budget: refuse without forming it
+    if (n - 1) * top.bit_length() >= limit.bit_length():
+        raise BudgetExceededError(
+            "enumeration of (d=%d, n=%d, %s) needs n! %d^(n-1) labels, budget is %d"
+            % (d, n, kind, top, limit))
     bounds = (("labels", label_count_bound), ("covers", cover_count))
     for what, bound in bounds[:2 if covers else 1]:
         need = bound(d, n, kind)
@@ -143,20 +149,16 @@ def is_face_complement(lower: CellLabel, upper: CellLabel) -> bool:
     return bool(_leq(KIND_COMPLEMENT, rows[:1], rows[1:])[0])
 
 
-def _grid(d: int, n: int, words):
-    """The permutations of 1..n and the separator words as arrays, both in
-    lexicographic order, and the (n!, W) mask of the labels in which no
-    tie, separator d+1, sits between decreasing letters."""
-    words = np.asarray(words)
+def _grid(d: int, n: int, kind: str):
+    """The permutations of 1..n and the kind's separator words as arrays,
+    both in lexicographic order, and the (n!, W) mask of the labels in which
+    no tie, separator d+1, sits between decreasing letters."""
     dtype = np.min_scalar_type(max(n, d + 1))
     perms = np.array(list(permutations(range(1, n + 1))), dtype=dtype)
-    words = words.astype(dtype)
+    words = np.array(list(product(range(1, _top(d, kind) + 1), repeat=n - 1)),
+                     dtype=dtype)
     keep = ~((perms[:, :-1] > perms[:, 1:]) @ (words == d + 1).T)
     return perms, words, keep
-
-
-def _kind_grid(d: int, n: int, kind: str):
-    return _grid(d, n, list(product(range(1, _top(d, kind) + 1), repeat=n - 1)))
 
 
 def _label_rows(perms, words, keep) -> np.ndarray:
@@ -187,7 +189,7 @@ def enumerate_labels(d: int, n: int, kind: str = KIND_COMPLEMENT,
     """All labels of the given kind, ordered lexicographically by (sigma, seps)."""
     _check_args(d, n, kind)
     _check_budget(d, n, kind, budget)
-    return _cell_labels(_label_rows(*_kind_grid(d, n, kind)), d)
+    return _cell_labels(_label_rows(*_grid(d, n, kind)), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,7 +401,7 @@ def enumerate_cells(d: int, n: int, kind: str = KIND_COMPLEMENT,
     """
     _check_args(d, n, kind)
     _check_budget(d, n, kind, budget, covers=True)
-    perms, words, keep = _kind_grid(d, n, kind)
+    perms, words, keep = _grid(d, n, kind)
     labels = _label_rows(perms, words, keep)
     total = labels[:, n:].sum(axis=1, dtype=np.int64)
     dims = total - (n - 1) if kind == KIND_COMPLEMENT else (d + 1) * (n - 1) - total

@@ -7,17 +7,25 @@ It also holds scalar oracles for the cell complex, written apart from the
 library's row-wise code: `governing_row` and `cond_pair`, the pairwise face
 criterion one label pair at a time; `facet_incidence_vector`, a facet's
 ridge classes read off stored poset covers; and `ridge_cells`, the ridges
-picked out of all enumerated labels."""
+picked out of all enumerated labels.
+
+The all-facet oracles check the S_n-orbit argument behind the library's
+one-facet incidence: `top_cells` lists all n! facets,
+`all_facet_class_counts` counts the ridge classes of every facet, each
+ridge confirmed by the face test facet by facet, and `facet_coboundaries`
+evaluates a cochain's coboundary on every facet from those counts."""
+
+from itertools import permutations
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from equicell import (ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
+from equicell import (CellLabel, ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
                       enumerate_labels, ridge_orbit_index)
 from equicell.geometry import (AREA_EPS, _merge_close, polygon_area,
                                polygon_perimeter)
 from equicell.obstruction import _extended_gcd
-from equicell.poset import face_matrix
+from equicell.poset import boundary, cond_rows, face_matrix, gov_rows
 from equicell.powerdiagram import _as_site_tuple
 
 
@@ -77,6 +85,38 @@ def scalar_leq(poset, a, b):
 def ridge_cells(d, n):
     """All ridges (one separator d-1, the rest d), lexicographic (sigma, seps)."""
     return [lab for lab in enumerate_labels(d, n) if sum(lab.seps) == d * (n - 1) - 1]
+
+
+def top_cells(d, n):
+    """All facets (every separator equal to d), in lexicographic sigma order."""
+    return [CellLabel(sigma, (d,) * (n - 1), d)
+            for sigma in permutations(range(1, n + 1))]
+
+
+def all_facet_class_counts(d, n, boundary=boundary):
+    """Matrix (facets x classes) counting the boundary ridges of every facet,
+    rows in `top_cells` order.  The faces of the identity facet are applied
+    to all n! facets as position maps, and a ridge counts only once the face
+    test confirms, facet by facet, that it lies in the facet."""
+    top = (d,) * (n - 1)
+    facets = np.array([lab.sigma + lab.seps for lab in top_cells(d, n)])
+    gov = gov_rows(facets)
+    counts = np.zeros((len(facets), n - 1), dtype=np.int64)
+    for places, seps in boundary(tuple(range(1, n + 1)), top):
+        if sum(seps) != len(seps) * d - 1:
+            continue  # not one dimension down: no ridge
+        cls = seps.index(d - 1)  # the one separator the move lowered
+        ridges = np.column_stack([facets[:, np.array(places) - 1],
+                                  np.tile(np.array(seps, facets.dtype), (len(facets), 1))])
+        counts[:, cls] += cond_rows(gov, gov_rows(ridges))
+    return counts
+
+
+def facet_coboundaries(d, n, cochain):
+    """The coboundary of a ridge-class cochain on each facet, keyed by facet:
+    `all_facet_class_counts` times the class values, in exact ints."""
+    counts = all_facet_class_counts(d, n).astype(object)
+    return dict(zip(top_cells(d, n), counts @ cochain.values))
 
 
 def facet_incidence_vector(facet, poset):

@@ -116,6 +116,33 @@ class TestComplex:
         assert res.stderr == ("error: enumeration of (d=3, n=7, complement) needs "
                               "49633920 covers, budget is 5000000\n")
 
+    @pytest.mark.parametrize("d,n", [(2, 2048), (2, 2 ** 22), (10 ** 1000, 6)])
+    def test_huge_label_count_is_refused_unformed(self, d, n):
+        # n! d^(n-1) labels are named, not formed: n = 2048 and d = 10^1000
+        # give more digits than int-to-str allows, and n = 2^22 takes
+        # minutes to multiply out
+        res = run_cli("complex", "--d", str(d), "--n", str(n), timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: enumeration of (d=%d, n=%d, complement) needs n! %d^(n-1) labels,"
+            " budget is 5000000" % (d, n, d)]
+
+    def test_closed_stdout_exits_cleanly(self):
+        # the CSV is far larger than a pipe buffer, so the write fails
+        # once the reader has gone
+        import os
+        env = {k: v for k, v in os.environ.items() if k != "EQUICELL_BUDGET"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "equicell", "complex", "--d", "2", "--n", "6",
+             "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.stdout.readline() == "kind=complement d=2 n=6\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 2
+        assert err.splitlines() == ["error: cannot write stdout: Broken pipe"]
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("complex", "--d", "2", "--n", "4", "--output", str(a))
@@ -173,12 +200,13 @@ class TestObstruction:
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1
-        # 8! facets times 2^8 - 2 ridge moves
-        res = run_cli("obstruction", "--n", "8", "--verify", timeout=30)
+        # 2^18 - 2 ridge rows of 35 entries each
+        res = run_cli("obstruction", "--n", "18", "--verify", timeout=30)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
-            "error: verifying (d=2, n=8) needs 10241280 face tests, budget is 5000000"]
+            "error: verifying (d=2, n=18) needs 9174970 ridge row entries,"
+            " budget is 5000000"]
 
     def test_verify_budget_ignores_d(self):
         # the facets and their ridge moves do not grow with d
@@ -187,13 +215,21 @@ class TestObstruction:
         assert "verify=ok" in res.stdout
 
     def test_verify_of_a_huge_n_is_refused_at_once(self):
-        # n! (2^n - 2) is not formed for this n: it would take minutes
+        # (2^n - 2)(2n - 1) is not formed for this n
         res = run_cli("obstruction", "--n", str(2 ** 22), "--verify", timeout=5)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
-            "error: verifying (d=2, n=4194304) needs n! (2^n - 2) face tests,"
-            " budget is 5000000"]
+            "error: verifying (d=2, n=4194304) needs (2^n - 2)(2n - 1) ridge row"
+            " entries, budget is 5000000"]
+
+    def test_verify_of_a_prime_power_past_eight(self):
+        # 9 = 3^2: one facet's 510 ridge moves, where all 9! facets' would
+        # exceed the default budget
+        res = run_cli("obstruction", "--n", "9", "--verify", timeout=30)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "n=9 d=2 gcd=3 group=Z/3 map_exists=False", "verify=ok"]
 
     def test_witness_over_budget_exits_at_once(self):
         # 10**11 is not a prime power: its witness would have 10**11 - 1 entries
@@ -519,6 +555,18 @@ class TestEquipart:
         res = run_cli("equipart", "--input", fixture, timeout=5,
                       env_extra={"EQUICELL_BUDGET": "9999899999"})
         assert res.returncode == 2 and "budget is 9999899999" in res.stderr
+
+    def test_weights_with_too_many_sites_rejected(self, tmp_path):
+        # the same bound as equalize, checked before the O(n^2) site checks
+        sites = [[(i % 60) / 60, (i // 60) / 60] for i in range(3000)]
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "weights", "polygon": SQUARE, "sites": sites})
+        res = run_cli("equipart", "--input", fixture, timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: weights with n=3000 needs 8997000 site pairs per"
+            " power-diagram build, budget is 5000000"]
 
     def test_tol_precedence_flag_over_file(self, tmp_path):
         fixture = self.weights_fixture(tmp_path, tol=1e-30)

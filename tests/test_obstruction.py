@@ -2,7 +2,7 @@
 witness cochains, and coboundary evaluation on the complex."""
 
 import time
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ from equicell import (BudgetExceededError, CellLabel, RidgeOrbitCochain, binomia
                       expected_incidence_row, is_prime_power, obstruction_report,
                       prime_power, ridge_orbit_index, verify_coboundary_on_complex)
 from equicell import obstruction
-from equicell.obstruction import facet_ridge_class_counts, top_cells
+from equicell.obstruction import facet_ridge_class_counts
 from equicell.poset import KIND_COMPLEMENT, face_matrix
-from support import facet_incidence_vector, ridge_cells
+from support import facet_incidence_vector, ridge_cells, top_cells
 
 
 def carries_adding(a, b, p):
@@ -91,14 +91,31 @@ class TestIncidenceVectors:
         for d, n in [(2, 3), (2, 4), (3, 3)]:
             counts = facet_ridge_class_counts(d, n)
             want = expected_incidence_row(n)
-            assert counts.shape == (len(top_cells(d, n)), n - 1)
-            assert (counts == np.array(want)).all()
+            assert counts.shape == (n - 1,)
+            assert tuple(counts) == want
+            every = support.all_facet_class_counts(d, n)
+            assert every.shape == (len(top_cells(d, n)), n - 1)
+            assert (every == np.array(want)).all()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_class_counts_are_the_binomial_row(self, n):
         counts = facet_ridge_class_counts(2, n)
-        assert counts.shape == (len(top_cells(2, n)), n - 1)
-        assert (counts == np.array(expected_incidence_row(n))).all()
+        assert counts.shape == (n - 1,)
+        assert tuple(counts) == expected_incidence_row(n)
+        assert (support.all_facet_class_counts(2, n) == counts).all()
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                     (3, 3), (3, 4), (3, 5), (4, 4)])
+    def test_every_facet_has_the_identity_facet_row(self, d, n):
+        # the S_n-orbit argument: the all-facet oracle repeats the one row
+        every = support.all_facet_class_counts(d, n)
+        assert every.shape == (factorial(n), n - 1)
+        assert (every == facet_ridge_class_counts(d, n)).all()
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_class_counts_past_seven(self, n):
+        # the prime powers 8, 9, 11, 13 and 16 included, at the default budget
+        assert tuple(facet_ridge_class_counts(2, n)) == expected_incidence_row(n)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
     def test_class_counts_match_dense_face_test(self, d, n):
@@ -121,9 +138,10 @@ class TestIncidenceVectors:
 
         monkeypatch.setattr(obstruction, "boundary", with_non_faces)
         counts = facet_ridge_class_counts(2, 4)
-        want = expected_incidence_row(4)
-        assert all(tuple(row) != want for row in counts)
-        assert (counts == (3, 6, 4)).all()
+        assert tuple(counts) != expected_incidence_row(4)
+        assert tuple(counts) == (3, 6, 4)
+        every = support.all_facet_class_counts(2, 4, boundary=with_non_faces)
+        assert (every == counts).all()
 
 
 class TestBinomialGcd:
@@ -293,28 +311,33 @@ class TestReport:
 
 class TestCoboundary:
     def test_hexagon_single_orbit_cochain(self):
-        vals = verify_coboundary_on_complex(2, 3, RidgeOrbitCochain(3, (1, 0)))
+        cochain = RidgeOrbitCochain(3, (1, 0))
+        assert verify_coboundary_on_complex(2, 3, cochain) == 3
+        vals = support.facet_coboundaries(2, 3, cochain)
         assert len(vals) == 6
         assert set(vals.values()) == {3}
 
     def test_zero_cochain(self):
-        vals = verify_coboundary_on_complex(2, 4, RidgeOrbitCochain(4, (0, 0, 0)))
-        assert set(vals.values()) == {0}
+        cochain = RidgeOrbitCochain(4, (0, 0, 0))
+        assert verify_coboundary_on_complex(2, 4, cochain) == 0
+        assert set(support.facet_coboundaries(2, 4, cochain).values()) == {0}
 
     def test_arbitrary_cochains_match_binomial_row(self):
         rng = np.random.default_rng(31)
         for d, n in [(2, 3), (2, 4), (3, 3)]:
             for _ in range(5):
                 x = [int(v) for v in rng.integers(-9, 10, size=n - 1)]
-                vals = verify_coboundary_on_complex(d, n, RidgeOrbitCochain(n, x))
+                cochain = RidgeOrbitCochain(n, x)
                 want = sum(xi * comb(n, j + 1) for j, xi in enumerate(x))
+                assert verify_coboundary_on_complex(d, n, cochain) == want
+                vals = support.facet_coboundaries(d, n, cochain)
                 assert set(vals.values()) == {want}
                 assert len(vals) == len(top_cells(d, n))
 
     def test_witness_on_actual_complex(self):
         w = coboundary_witness(6)
-        vals = verify_coboundary_on_complex(2, 6, w)
-        assert set(vals.values()) == {1}
+        assert verify_coboundary_on_complex(2, 6, w) == 1
+        assert set(support.facet_coboundaries(2, 6, w).values()) == {1}
 
     def test_cell_generators(self):
         assert len(top_cells(2, 4)) == 24
