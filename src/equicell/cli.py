@@ -247,6 +247,8 @@ def cmd_equipart(args) -> int:
             diag, iters, converged = stats["diagram"], stats["iterations"], True
         except WeightSolveError as e:
             diag, iters, converged = e.diagram, e.iterations, False
+        except ValueError as e:  # even the seed leaves a cell empty
+            return _fail("bad sites: %s" % e, EXIT_INPUT)
         try:
             spread = perimeter_spread(diag)
         except ValueError:

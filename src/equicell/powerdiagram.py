@@ -3,7 +3,7 @@
 Cell i collects the points x with |x - x_i|^2 - w_i minimal.  Against site j
 that is the half-plane 2 (x_j - x_i) . x <= |x_j|^2 - |x_i|^2 - w_j + w_i, so
 each cell is an intersection of half-planes with the polygon and is computed
-by iterated clipping against j = 0, ..., n-1 in turn.  Only weight
+by iterated clipping against the other sites in turn.  Only weight
 differences matter; shifting all weights by a constant leaves every cell
 unchanged.
 
@@ -18,15 +18,18 @@ value is <= 0).  The skip demands a margin of 1e-9 (d^2 + |x_i|^2 + |x_j|^2 +
 term of a side value is bounded by that sum and its rounding is below 2e-15
 times it: a skipped clip is one whose computed side values would all have
 been <= 0, and cells, areas, perimeters and interfaces are exactly those of
-clipping against every site.  R is measured from the current vertices, so
-this holds however the cell was cut.  Per site the test is R < (d^2 -
-(w_j - w_i) - margin) / (2 d), a threshold computed with numpy for a block
-of sites at a time; R is re-measured only when a clip changed the cell.  The clips that
-remain are the neighbours plus the sites still within reach of the cell as
-it shrinks: at n = 300 about 42 (no weights) to 60 (equal-area weights) of
-299 per cell.  The test still visits every pair, so a build stays O(n^2),
-with a small constant.  Below SKIP_FROM sites the thresholds cost more than
-the clips they save, and every cell is clipped against every other site.
+clipping against every site in the same order.  R is measured from the
+current vertices, so this holds however the cell was cut.  Per site the test
+is R < t_j = (d^2 - (w_j - w_i) - margin) / (2 d), a threshold computed with
+numpy for a block of sites at a time.  Each cell visits the sites in
+ascending order of t_j and stops at the first t_j above R: R never grows, so
+every later site is skipped by the same test.  The nearest walls cut first,
+and at n = 300 about 9 (no weights) to 10-14 (equal-area weights) of 299
+clips per cell remain, against 42 to 60 in index order.  The order depends
+only on the sites and weights, so they reproduce a diagram bit for bit.
+What stays O(n^2) is the numpy thresholds and their per-row sort.  Below
+SKIP_FROM sites the thresholds cost more than the clips they save, and every
+cell is clipped against every other site in index order.
 """
 from __future__ import annotations
 
@@ -121,21 +124,23 @@ def _as_site_tuple(sites) -> Sites:
 
 
 def _reach_rows(pts, wvals):
-    """Yield per site i the list of thresholds t_j: site j cannot change a
-    cell whose vertices all lie within R < t_j of x_i.  t_i is +inf, so a
-    site is never clipped against itself; a NaN threshold never skips.
-    Below SKIP_FROM sites every other threshold is -inf."""
+    """Yield per site i the sites j to clip its cell against, in ascending
+    order of their thresholds t_j, and those thresholds: site j cannot change
+    a cell whose vertices all lie within R < t_j of x_i.  t_i is +inf, so the
+    own site comes last and ends the row; a NaN threshold becomes -inf and
+    never skips.  Below SKIP_FROM sites the row is the other sites in index
+    order, each with threshold -inf."""
     m = len(pts)
     if m < SKIP_FROM:
+        ts = [-inf] * (m - 1)
         for i in range(m):
-            row = [-inf] * m
-            row[i] = inf
-            yield row
+            yield [*range(i), *range(i + 1, m)], ts
         return
     xy = np.array(pts)
     x, y = xy[:, 0], xy[:, 1]
     w = np.array(wvals)
-    own = x * x + y * y + np.abs(w)
+    with np.errstate(all="ignore"):  # overflow gives inf or NaN thresholds
+        own = x * x + y * y + np.abs(w)
     for lo in range(0, m, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         bx, by = x[blk, None], y[blk, None]
@@ -145,7 +150,9 @@ def _reach_rows(pts, wvals):
             num = d2 - (w - w[blk, None]) - margin
             den = 2.0 * np.sqrt(d2)
             reach = np.divide(num, den, out=np.full(num.shape, inf), where=den > 0.0)
-        yield from reach.tolist()
+        reach[np.isnan(reach)] = -inf
+        order = np.argsort(reach, axis=1, kind="stable")
+        yield from zip(order.tolist(), np.take_along_axis(reach, order, 1).tolist())
 
 
 def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
@@ -173,18 +180,17 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     areas = []
     perims = []
     interfaces = []
-    rows = _reach_rows(pts, wvals)
-    track = m >= SKIP_FROM  # else r stays 0: only the own threshold skips
-    for i in range(m):
+    for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         site = pts[i]
         xi, yi = site
         qi = xi * xi + yi * yi
-        reach = next(rows)
         cpts, ctags = base_pts, base_tags
-        r = max(dist(p, site) for p in cpts) if track else 0.0
-        for j in range(m):
-            if r < reach[j]:
-                continue
+        r, measured = inf, None  # R of `measured`, taken when a t_j > -inf needs it
+        for j, t in zip(order, reach):
+            if measured is not cpts and t > -inf:
+                r, measured = max(dist(p, site) for p in cpts), cpts
+            if r < t:  # R only shrinks, so every later site is out of reach
+                break
             xj, yj = pts[j]
             a = (2.0 * (xj - xi), 2.0 * (yj - yi))
             c = xj * xj + yj * yj - qi - wvals[j] + wvals[i]
@@ -193,8 +199,6 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
                 cpts = npts
                 if not cpts:
                     break
-                if track:
-                    r = max(dist(p, site) for p in cpts)
         # an empty cell has no edges, area 0.0, perimeter 0.0 and no walls
         cells.append(_clipped_polygon(cpts) if cpts else None)
         areas.append(polygon_area(cpts))

@@ -18,11 +18,12 @@ w_i = (1 - t) |x_i - c|^2 the power diagram of the x_i is the Voronoi
 diagram of the y_i: |x - x_i|^2 - w_i and |x - y_i|^2 / t differ by terms
 that do not depend on i.  Distinct sites inside the polygon own cells of
 positive area, so for any distinct sites the seed has no empty cell (up to
-rounding: clusters far smaller than the polygon can give cells below
-AREA_EPS, and then the solve fails).  From there the iteration is the
-damped Newton method of Kitagawa, Merigot and Thibert: a step is halved
-until every cell keeps at least half of min(least share, 1/n) and the
-residual drops, so every accepted iterate has every cell nonempty.
+rounding: sites far outside, or clusters far smaller than the polygon, can
+give cells below AREA_EPS, and then the solve raises ValueError naming the
+site extent).  From there the iteration is the damped Newton method of
+Kitagawa, Merigot and Thibert: a step is halved until every cell keeps at
+least half of min(least share, 1/n) and the residual drops, so every
+accepted iterate has every cell nonempty.
 """
 from __future__ import annotations
 
@@ -87,9 +88,10 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     Returns (weights, stats): stats holds the iteration count, the final
     residual and the diagram, which power_diagram(polygon, sites, weights)
     reproduces bit for bit, since every iterate is centered and the weights
-    are returned as iterated.  Raises WeightSolveError when the seed leaves a
-    cell empty, the line search stalls or the iteration cap is hit; it
-    carries the last weights and their diagram.
+    are returned as iterated.  Raises ValueError when even the seed leaves a
+    cell empty, which doubles cannot avoid for such sites, and
+    WeightSolveError when the line search stalls or the iteration cap is
+    hit; it carries the last weights and their diagram.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
@@ -113,9 +115,12 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
         w = _voronoi_seed(polygon, sts)
         diag, frac = build(w)
         if frac.min() <= 0.0:
-            raise WeightSolveError("could not give every cell positive area",
-                                   weights=tuple(w), diagram=diag,
-                                   residual=float(np.abs(target - frac).max()))
+            v = np.array(polygon.vertices)
+            diam = max(np.hypot(*(v - p).T).max() for p in v)
+            far = np.hypot(*(np.array(sts.points) - polygon.centroid).T).max()
+            raise ValueError("the sites reach %.3g polygon diameters from its centroid,"
+                             " too far for doubles to give every cell area"
+                             % (far / diam))
 
     r = target - frac
     rn = float(np.abs(r).max())

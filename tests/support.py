@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: poset property checks, random convex
 polygon generation, rigid-motion utilities, the all-pairs power diagram
-that the clip-skipping build must reproduce bit for bit, and the forward
-witness construction that the backward pass must reproduce.
+that the clip-skipping build must reproduce bit for bit, the index-order
+build that it must agree with to rounding, and the forward witness
+construction that the backward pass must reproduce.
 
 It also holds scalar oracles for the cell complex, written apart from the
 library's row-wise code: `governing_row` and `cond_pair`, the pairwise face
@@ -16,17 +17,18 @@ ridge confirmed by the face test facet by facet, and `facet_coboundaries`
 evaluates a cochain's coboundary on every facet from those counts."""
 
 from itertools import permutations
+from math import dist
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from equicell import (CellLabel, ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
                       enumerate_labels, ridge_orbit_index)
-from equicell.geometry import (AREA_EPS, _merge_close, polygon_area,
+from equicell.geometry import (AREA_EPS, _merge_close, clip_tagged, polygon_area,
                                polygon_perimeter)
 from equicell.obstruction import _extended_gcd
 from equicell.poset import boundary, cond_rows, face_matrix, gov_rows
-from equicell.powerdiagram import _as_site_tuple
+from equicell.powerdiagram import _as_site_tuple, _reach_rows
 
 
 def as_tuples(arr):
@@ -223,6 +225,25 @@ def random_sites_inside(rng, polygon, n, margin=0.03):
     return tuple(out)
 
 
+def jittered_grid_sites(rng, polygon, n):
+    """n points inside the polygon, one uniform point in each of n cells of
+    a k x k grid over its bounding box, taken in random order (k grows until
+    n of them fall inside): evenly spread, like a solved partition's sites."""
+    x0, y0, x1, y1 = polygon.bbox
+    k = int(np.sqrt(n - 1)) + 1
+    while True:
+        cells = rng.permutation(k * k)
+        jitter = rng.random((k * k, 2))
+        out = []
+        for c, (u, v) in zip(cells, jitter):
+            p = (x0 + (c // k + u) * (x1 - x0) / k, y0 + (c % k + v) * (y1 - y0) / k)
+            if boundary_distance(polygon, p) > 0:
+                out.append(p)
+                if len(out) == n:
+                    return tuple(out)
+        k += 1
+
+
 def rigid_motion(angle, shift):
     """Return a point map applying rotation by angle then translation."""
     c, s = np.cos(angle), np.sin(angle)
@@ -290,12 +311,8 @@ def clip_every_time(pts, tags, a, c, new_tag):
     return out_p, out_t
 
 
-def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
-    """Reference build: every cell clipped by clip_every_time against all
-    other sites in index order, skipping none."""
-    sts = _as_site_tuple(sites)
-    pts = sts.points
-    m = len(pts)
+def _weight_values(sts, weights):
+    m = len(sts)
     if weights is None:
         wvals = (0.0,) * m
     elif isinstance(weights, Weights):
@@ -304,25 +321,38 @@ def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
         wvals = tuple(float(v) for v in weights)
     if len(wvals) != m:
         raise ValueError("need one weight per site")
+    return wvals
 
-    base_pts = list(polygon.vertices)
-    base_tags = [-(e + 1) for e in range(len(base_pts))]
+
+def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
+    """The diagram whose cell i is clip_cell(i, order, reach, start, r,
+    halfplane), as (points, tags), measured with the geometry module's own
+    functions.  order and reach are cell i's row of
+    powerdiagram._reach_rows, start is the polygon with its edge tags,
+    r(points) is the largest distance from site i to a point, and
+    halfplane(j) gives the (a, c) that the build clips with against site j."""
+    sts = _as_site_tuple(sites)
+    pts = sts.points
+    wvals = _weight_values(sts, weights)
+    start = (list(polygon.vertices), [-(e + 1) for e in range(len(polygon.vertices))])
 
     cells = []
     areas = []
     perims = []
     interfaces = []
-    for i in range(m):
+    for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         xi, yi = pts[i]
         qi = xi * xi + yi * yi
-        cpts, ctags = base_pts, base_tags
-        for j in range(m):
-            if j == i or not cpts:
-                continue
+
+        def halfplane(j):
             xj, yj = pts[j]
-            a = (2.0 * (xj - xi), 2.0 * (yj - yi))
-            c = xj * xj + yj * yj - qi - wvals[j] + wvals[i]
-            cpts, ctags = clip_every_time(cpts, ctags, a, c, j)
+            return ((2.0 * (xj - xi), 2.0 * (yj - yi)),
+                    xj * xj + yj * yj - qi - wvals[j] + wvals[i])
+
+        def r(cpts):
+            return max(dist(p, pts[i]) for p in cpts)
+
+        cpts, ctags = clip_cell(i, order, reach, start, r, halfplane)
         if not cpts:
             cells.append(None)
             areas.append(0.0)
@@ -345,6 +375,47 @@ def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
                         cells=tuple(cells), areas=tuple(areas),
                         perimeters=tuple(perims), interfaces=tuple(interfaces))
+
+
+def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
+    """Reference build: every cell clipped by clip_every_time against all
+    other sites, skipping none, in the order the build visits them
+    (ascending skip threshold), so its cells must equal the build's bit for
+    bit."""
+
+    def clip_cell(i, order, reach, start, r, halfplane):
+        cpts, ctags = start
+        for j in order:
+            if j == i or not cpts:
+                continue
+            cpts, ctags = clip_every_time(cpts, ctags, *halfplane(j), j)
+        return cpts, ctags
+
+    return _reference_diagram(polygon, sites, weights, clip_cell)
+
+
+def index_order_power_diagram(polygon, sites, weights=None) -> PowerDiagram:
+    """The build as it clipped before it sorted by threshold: each cell cut
+    by clip_tagged against the sites in index order, skipping site j while
+    every vertex lies within R < t_j of the own site, but never stopping
+    early.  Its cells may differ from the build's in the last bits only."""
+
+    def clip_cell(i, order, reach, start, r, halfplane):
+        t = dict(zip(order, reach))
+        cpts, ctags = start
+        radius = r(cpts)
+        for j in sorted(order):
+            if radius < t[j]:
+                continue
+            npts, ctags = clip_tagged(cpts, ctags, *halfplane(j), j)
+            if npts is not cpts:
+                cpts = npts
+                if not cpts:
+                    break
+                radius = r(cpts)
+        return cpts, ctags
+
+    return _reference_diagram(polygon, sites, weights, clip_cell)
 
 
 def forward_witness(n):

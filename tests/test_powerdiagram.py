@@ -10,6 +10,7 @@ from equicell import (ConvexPolygon, PowerDiagram, Sites, Weights,
                       perimeter_spread, point_cell_index, power_diagram,
                       solve_equal_measure_weights)
 from equicell import powerdiagram
+from equicell import weights as weight_solver
 from equicell.geometry import polygon_perimeter
 
 SQUARE = support.UNIT_SQUARE
@@ -222,8 +223,9 @@ def outside_sites(rng, polygon, n):
 
 class TestSkippedClips:
     """Skipped clips must be exactly those that would change nothing: every
-    diagram equals the all-pairs reference down to the last bit (repr of a
-    float round-trips).  Sizes straddle powerdiagram.SKIP_FROM."""
+    diagram equals the all-pairs reference, which clips in the same
+    threshold order, down to the last bit (repr of a float round-trips).
+    Sizes straddle powerdiagram.SKIP_FROM."""
 
     def assert_exact(self, poly, sites, weights=None):
         got = power_diagram(poly, sites, weights)
@@ -298,6 +300,8 @@ class TestSkippedClips:
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (3.0, -3.0))
 
     def test_clips_scale_with_neighbours(self, monkeypatch):
+        # a finished cell has about 6 walls; in threshold order the clips
+        # stop soon after them, with no weights and with solved weights
         calls = []
         clip = powerdiagram.clip_tagged
 
@@ -305,13 +309,116 @@ class TestSkippedClips:
             calls.append(1)
             return clip(*args)
 
-        monkeypatch.setattr(powerdiagram, "clip_tagged", counted)
-        rng = np.random.default_rng(370)
-        n = 150
-        sites = support.random_sites_inside(rng, SQUARE, n)
-        diagram = power_diagram(SQUARE, sites)
-        assert sum(diagram.areas) == pytest.approx(1.0, rel=1e-12)
-        assert len(calls) < 0.3 * n * (n - 1)
+        for n in (150, 600):
+            rng = np.random.default_rng(370 + n)
+            sites = support.jittered_grid_sites(rng, SQUARE, n)
+            solved, _ = solve_equal_measure_weights(SQUARE, sites)
+            for weights in (None, solved):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(powerdiagram, "clip_tagged", counted)
+                    diagram = power_diagram(SQUARE, sites, weights)
+                assert sum(diagram.areas) == pytest.approx(1.0, rel=1e-12)
+                assert len(calls) < 16 * n
+
+    def test_huge_weights_give_nan_thresholds(self):
+        # w_j - w_i and the margin overflow to opposite infinities, so some
+        # thresholds are NaN; those sites are clipped, never skipped
+        rng = np.random.default_rng(375)
+        poly = support.random_convex_polygon(rng)
+        n = 40
+        sites = support.random_sites_inside(rng, poly, n)
+        w = tuple(1e308 * s for s in rng.choice((-1.0, 1.0), size=n))
+        assert min(w) < 0 < max(w)
+        with np.errstate(all="ignore"):  # w_j - w_i = -inf, margin = +inf
+            big = np.float64(1e308)
+            margin = powerdiagram.SKIP_MARGIN * (big + big)
+            assert np.isnan(0.25 - (-big - big) - margin)
+        diagram = self.assert_exact(poly, sites, w)
+        assert any(c is None for c in diagram.cells)
+        assert any(c is not None for c in diagram.cells)
+
+    def test_overflowing_distance_gives_nan_thresholds(self):
+        # d^2 and the margin overflow, so the far site's thresholds are all
+        # NaN; they must clip it, or the far cell would keep the polygon
+        rng = np.random.default_rng(376)
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, 40) + ((1e155, 0.3),)
+        diagram = self.assert_exact(poly, sites)
+        assert diagram.cells[-1] is None
+        assert sum(diagram.areas) == pytest.approx(poly.area, rel=1e-12)
+
+
+def lattice(k, transpose=False):
+    """The k x k cell centres of the unit square, rows or columns first."""
+    pts = [((a + 0.5) / k, (b + 0.5) / k) for a in range(k) for b in range(k)]
+    return tuple((y, x) for x, y in pts) if transpose else tuple(pts)
+
+
+def threshold_order_sites(rng, poly, n):
+    """Site sets on which threshold order meets ties and degeneracies:
+    random interior sites, half outside, collinear, clustered within 1e-4
+    widths, and spread over a width 40 widths away."""
+    x0, y0, x1, y1 = poly.bbox
+    width = max(x1 - x0, y1 - y0)
+    c = np.array(poly.centroid)
+    line = rng.normal(size=2)
+    line /= np.hypot(*line)
+    along = 0.25 * width * np.linspace(-1.0, 1.0, n)
+    cloud = rng.uniform(-0.5e-4 * width, 0.5e-4 * width, (n, 2))
+    far = c + 40.0 * width * line + rng.uniform(-0.5 * width, 0.5 * width, (n, 2))
+    return (support.random_sites_inside(rng, poly, n),
+            support.random_sites_inside(rng, poly, n // 2)
+            + outside_sites(rng, poly, n - n // 2),
+            tuple(map(tuple, c + along[:, None] * line)),
+            tuple(map(tuple, c + cloud)),
+            tuple(map(tuple, far)))
+
+
+class TestThresholdOrder:
+    """Visiting each cell's sites in threshold order changes only the last
+    bits against the index-order build: areas agree to 1e-12 of the
+    polygon's, and the same cells are empty and meet the same neighbours."""
+
+    def assert_agree(self, poly, sites, weights=None):
+        got = power_diagram(poly, sites, weights)
+        want = support.index_order_power_diagram(poly, sites, weights)
+        assert [c is None for c in got.cells] == [c is None for c in want.cells]
+        assert np.abs(np.subtract(got.areas, want.areas)).max() <= 1e-12 * poly.area
+        for a, b in zip(got.interfaces, want.interfaces):
+            assert [j for j, _ in a] == [j for j, _ in b]
+
+    @pytest.mark.parametrize("n", [40, 120, 300])
+    def test_random_and_degenerate_sites(self, n):
+        rng = np.random.default_rng(390 + n)
+        poly = support.random_convex_polygon(rng)
+        for sites in threshold_order_sites(rng, poly, n):
+            w = rng.normal(scale=0.2 * poly.area / n, size=n)
+            self.assert_agree(poly, sites)
+            self.assert_agree(poly, sites, tuple(w - w.mean()))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_lattice_with_exact_ties(self, transpose):
+        # equal distances tie in the sort, and four cells meet at each
+        # inner lattice point
+        sites = lattice(8, transpose)
+        rng = np.random.default_rng(399)
+        w = rng.normal(scale=0.2 / 64, size=64)
+        self.assert_agree(SQUARE, sites)
+        self.assert_agree(SQUARE, sites, tuple(w - w.mean()))
+        assert power_diagram(SQUARE, sites).areas == pytest.approx((1 / 64,) * 64,
+                                                                   abs=1e-15)
+
+    def test_newton_iterations_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(398)
+        sites = support.jittered_grid_sites(rng, SQUARE, 150)
+        w, stats = solve_equal_measure_weights(SQUARE, sites)
+        self.assert_agree(SQUARE, sites, w)
+        monkeypatch.setattr(weight_solver, "power_diagram",
+                            support.index_order_power_diagram)
+        w_index, stats_index = solve_equal_measure_weights(SQUARE, sites)
+        assert stats_index["iterations"] == stats["iterations"]
+        assert np.abs(np.subtract(w.values, w_index.values)).max() <= 1e-12
 
 
 class TestCellsAreClipResults:

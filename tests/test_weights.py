@@ -263,6 +263,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_equal_measure_weights(SQUARE, ((0.5, 0.5), (0.5, 0.5)))
 
+    def test_sites_beyond_double_precision_rejected(self):
+        # the seed pulls both sites by t ~ 5e-151 onto the centroid, so no
+        # start in doubles gives both cells area
+        with pytest.raises(ValueError, match="7.07e[+]149 polygon diameters"):
+            solve_equal_measure_weights(SQUARE, ((0.2, 0.2), (1e150, 0.3)))
+
     def test_stats(self):
         w, stats = solve_equal_measure_weights(
             SQUARE, ((0.25, 0.5), (0.6, 0.5)))
