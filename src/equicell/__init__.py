@@ -6,7 +6,7 @@ from .labels import (CellLabel, Configuration, InvalidLabelError, cell_dimension
                      fox_neuwirth_label, group_action, separator_min,
                      stratum_dimension, vertex_coordinates)
 from .poset import (BudgetExceededError, DEFAULT_BUDGET, FacePoset,
-                    KIND_COMPLEMENT, KIND_STRATIFICATION, enumerate_cells,
+                    KIND_COMPLEMENT, KIND_STRATIFICATION, charge, enumerate_cells,
                     enumerate_labels, euler_characteristic, f_vector,
                     is_face_complement, is_face_stratification, poset_from_json,
                     poset_to_json, resolve_budget, validate_covers)

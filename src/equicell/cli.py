@@ -22,13 +22,13 @@ from pathlib import Path
 
 from . import jsonio
 from .equalize import EqualizeError, equalize_perimeters
-from .geometry import ConvexPolygon, check_finite_extent, polygon_area
+from .geometry import AREA_EPS, ConvexPolygon, check_finite_extent, polygon_area
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
-from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION,
+from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION, charge,
                     enumerate_cells, euler_characteristic, f_vector, poset_csv_chunks,
-                    poset_json_chunks, resolve_budget)
+                    poset_json_chunks)
 from .powerdiagram import Sites, perimeter_spread
 from .svgout import render_power_diagram_svg
 from .weights import WeightSolveError, solve_equal_measure_weights
@@ -219,22 +219,27 @@ def cmd_equipart(args) -> int:
 
     if mode == "weights":
         raw = data.get("sites")
-        if not isinstance(raw, list) or not raw:
-            return _fail("mode 'weights' needs sites", EXIT_INPUT)
+        if (not isinstance(raw, list) or not raw
+                or any(not isinstance(v, list) or len(v) != 2 for v in raw)):
+            return _fail("mode 'weights' needs sites, a list of [x, y] pairs", EXIT_INPUT)
         nparts = len(raw)
     else:
         nparts = data.get("n")
         if not isinstance(nparts, int) or nparts < 2:
             return _fail("mode 'equalize' needs integer n >= 2", EXIT_INPUT)
     try:
-        limit = resolve_budget()
-    except ValueError as e:
-        return _fail(str(e), EXIT_INPUT)
-    need = nparts * (nparts - 1)
-    if need > limit:
         with _int_digits_unlimited():  # n may have as many digits as JSON allows
-            return _fail("%s with n=%d needs %d site pairs per power-diagram build,"
-                         " budget is %d" % (mode, nparts, need, limit), EXIT_INPUT)
+            task = "%s with n=%d" % (mode, nparts)
+            limit = charge(None, task, "site pairs per power-diagram build",
+                           nparts * (nparts - 1))
+            if mode == "equalize":  # one solve per Jacobian column of 2n - 3
+                charge(limit, task, "site pairs per Gauss-Newton step",
+                       nparts * (nparts - 1) * (2 * nparts - 3))
+    except (BudgetExceededError, ValueError) as e:
+        return _fail(str(e), EXIT_INPUT)
+    if polygon.area / nparts <= AREA_EPS:
+        return _fail("each of n=%d cells would have area %.3g, not above AREA_EPS = %g"
+                     % (nparts, polygon.area / nparts, AREA_EPS), EXIT_INPUT)
 
     if mode == "weights":
         try:
@@ -249,11 +254,8 @@ def cmd_equipart(args) -> int:
             diag, iters, converged = e.diagram, e.iterations, False
         except ValueError as e:  # even the seed leaves a cell empty
             return _fail("bad sites: %s" % e, EXIT_INPUT)
-        try:
-            spread = perimeter_spread(diag)
-        except ValueError:
-            spread = None
-        payload = _diagram_payload(diag, spread, iters, converged)
+        # every diagram the solve returns or raises with has every cell nonempty
+        payload = _diagram_payload(diag, perimeter_spread(diag), iters, converged)
     else:
         try:
             result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)

@@ -22,7 +22,8 @@ from math import comb, isqrt
 import numpy as np
 
 from .labels import CellLabel, InvalidLabelError
-from .poset import KIND_COMPLEMENT, BudgetExceededError, _leq, boundary, resolve_budget
+from .poset import (KIND_COMPLEMENT, BudgetExceededError, _leq, boundary, charge,
+                    resolve_budget)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def binomial_valuation(n: int, j: int, p: int) -> int:
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, s, t) with s*a + t*b = g = gcd(a, b)
+    # returns (g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -136,8 +137,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
@@ -181,9 +180,8 @@ def obstruction_report(d: int, n: int, budget: int | None = None) -> Obstruction
     pp = prime_power(n, limit)
     g = pp[0] if pp else 1
     exists = g == 1
-    if exists and n - 1 > limit:
-        raise BudgetExceededError("the witness for n=%d needs %d entries, budget is %d"
-                                  % (n, n - 1, limit))
+    if exists:
+        charge(limit, "the witness for n=%d" % n, "entries", n - 1)
     witness = coboundary_witness(n) if exists else None
     group = "trivial" if g == 1 else "Z/%d" % g
     return ObstructionReport(d=d, n=n, gcd=g, prime_power=pp, group=group,
@@ -198,13 +196,11 @@ def facet_ridge_class_counts(d: int, n: int,
     2^n - 2 ridge rows of 2n - 1 entries each must fit in the budget."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    limit = resolve_budget(budget)
+    limit, task = resolve_budget(budget), "verifying (d=%d, n=%d)" % (d, n)
     # (2^n - 2)(2n - 1) >= 2^n: a large n is refused without forming the product
-    need = (2 ** n - 2) * (2 * n - 1) if n <= limit.bit_length() else None
-    if need is None or need > limit:
-        raise BudgetExceededError(
-            "verifying (d=%d, n=%d) needs %s ridge row entries, budget is %d"
-            % (d, n, "(2^n - 2)(2n - 1)" if need is None else need, limit))
+    if n > limit.bit_length():
+        charge(limit, task, "(2^n - 2)(2n - 1) ridge row entries")
+    charge(limit, task, "ridge row entries", (2 ** n - 2) * (2 * n - 1))
     identity, top = tuple(range(1, n + 1)), (d,) * (n - 1)
     dtype = np.min_scalar_type(max(n, d + 1))
     ridges = np.array([places + seps for places, seps in boundary(identity, top)

@@ -39,10 +39,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby, permutations, product
 from math import factorial
-from operator import itemgetter
 
 import numpy as np
 
@@ -101,24 +100,27 @@ def cover_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
     return total
 
 
-def _check_budget(d, n, kind, budget, covers=False):
-    """The budget, once the labels of (d, n, kind) fit in it and, with
-    covers, their covers too."""
+def charge(budget: int | None, task: str, unit: str, need: int | None = None) -> int:
+    """The budget (see `resolve_budget`), once `need` `unit` fit in it.
+    need=None, a count too large to form, never fits; `unit` alone names it."""
     limit = resolve_budget(budget)
-    top = _top(d, kind)
+    if need is None or need > limit:
+        raise BudgetExceededError("%s needs %s, budget is %d" % (
+            task, unit if need is None else "%d %s" % (need, unit), limit))
+    return limit
+
+
+def _check_budget(d, n, kind, budget, covers=False):
+    """Refuse unless the labels of (d, n, kind) fit in the budget and, with
+    covers, their covers too."""
+    limit, top = resolve_budget(budget), _top(d, kind)
+    task = "enumeration of (d=%d, n=%d, %s)" % (d, n, kind)
     # n! top^(n-1) >= 2^((n-1) bitlen(top)) > budget: refuse without forming it
     if (n - 1) * top.bit_length() >= limit.bit_length():
-        raise BudgetExceededError(
-            "enumeration of (d=%d, n=%d, %s) needs n! %d^(n-1) labels, budget is %d"
-            % (d, n, kind, top, limit))
-    bounds = (("labels", label_count_bound), ("covers", cover_count))
-    for what, bound in bounds[:2 if covers else 1]:
-        need = bound(d, n, kind)
-        if need > limit:
-            raise BudgetExceededError(
-                "enumeration of (d=%d, n=%d, %s) needs %d %s, budget is %d"
-                % (d, n, kind, need, what, limit))
-    return limit
+        charge(limit, task, "n! %d^(n-1) labels" % top)
+    charge(limit, task, "labels", label_count_bound(d, n, kind))
+    if covers:
+        charge(limit, task, "covers", cover_count(d, n, kind))
 
 
 def _check_args(d, n, kind):
@@ -323,11 +325,10 @@ def _leq(kind: str, lower: np.ndarray, upper: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=None)
-def _moves(seps) -> tuple:
+def _moves(seps) -> list:
     """The faces of `boundary` for the separator word seps, as pairs
-    (getter, face seps), where getter picks the face's letters from sigma by
-    position.  Cached, one entry per separator word."""
+    (places, face seps), where places lists the 0-based positions in sigma
+    of the face's letters."""
     n = len(seps) + 1
     moves = []
     for j in sorted(set(seps) - {1}):
@@ -345,8 +346,8 @@ def _moves(seps) -> tuple:
                         gaps += (j - 1 if pos == len(front) else j,)
                     places += block_places
                     gaps += block_gaps
-                moves.append((itemgetter(*places, *range(hi, n)), gaps + seps[hi - 1:]))
-    return tuple(moves)
+                moves.append((places + tuple(range(hi, n)), gaps + seps[hi - 1:]))
+    return moves
 
 
 def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -358,28 +359,28 @@ def boundary(sigma, seps) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     the blocks on either side stay joined by j.  For a facet these are the
     C(n, i) unshuffles with the lowered separator in gap i.
     """
-    return [(get(sigma), gaps) for get, gaps in _moves(tuple(seps))]
+    return [(tuple(sigma[p] for p in places), gaps)
+            for places, gaps in _moves(tuple(seps))]
 
 
 def _covers(perms, words, keep, up: bool) -> np.ndarray:
     """Covering pairs (lo, hi), sorted, of the labels of `_label_rows`: each
     label's `boundary` faces are its lower covers, or its upper covers when
-    `up`.  The faces of (identity, word) are position maps: each is applied
-    to all permutations at once and ranked, once per distinct map.  A label
+    `up`.  The faces' position maps from `_moves` are each applied to all
+    permutations at once and ranked, once per distinct map.  A label
     has index `number` at its key lexrank(sigma) * W + rank(seps)."""
     width = len(words)
     word_rank = {w: i for i, w in enumerate(map(tuple, words.tolist()))}
     number = np.cumsum(keep.ravel()) - 1
     base = np.arange(len(perms), dtype=np.int64) * width
-    identity = tuple(range(1, perms.shape[1] + 1))
     ranks = {}
     ends = ([], [])
     for i, word in enumerate(word_rank):
         rows = keep[:, i]
         labels = number[base[rows] + i]
-        for places, face in boundary(identity, word):
+        for places, face in _moves(word):
             if places not in ranks:
-                ranks[places] = _lexrank(perms[:, np.array(places) - 1]) * width
+                ranks[places] = _lexrank(perms[:, places]) * width
             faces = number[ranks[places][rows] + word_rank[face]]
             ends[0].append(labels if up else faces)
             ends[1].append(faces if up else labels)

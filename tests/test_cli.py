@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import comb
 
+import numpy as np
 import pytest
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -286,6 +287,31 @@ class TestObstruction:
         assert res.returncode == 0
         assert "gcd=100000000000031 group=Z/100000000000031 map_exists=False" in res.stdout
 
+    def assert_verify_fails(self, monkeypatch, capsys, n, stderr):
+        from equicell import cli
+        monkeypatch.delenv("EQUICELL_BUDGET", raising=False)
+        code = cli.main(["obstruction", "--n", str(n), "--verify"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.splitlines()[-1] == "verify=FAILED"
+        assert err.splitlines() == [stderr]
+
+    def test_wrong_incidence_row_fails_verify(self, monkeypatch, capsys):
+        # the row of n = 4 must be C(4, 1..3) = (4, 6, 4)
+        from equicell import cli
+        monkeypatch.setattr(cli, "facet_ridge_class_counts",
+                            lambda d, n, budget=None: np.array([4, 6, 3]))
+        self.assert_verify_fails(monkeypatch, capsys, 4, "incidence check FAILED")
+
+    def test_wrong_witness_fails_verify(self, monkeypatch, capsys):
+        # the zero cochain has coboundary 0, not 1
+        from dataclasses import replace
+        from equicell import RidgeOrbitCochain, cli
+        real = cli.obstruction_report
+        monkeypatch.setattr(cli, "obstruction_report", lambda d, n, budget=None: replace(
+            real(d, n, budget), witness=RidgeOrbitCochain(n, (0,) * (n - 1))))
+        self.assert_verify_fails(monkeypatch, capsys, 6, "coboundary check FAILED")
+
 
 class TestEquipart:
     def weights_fixture(self, tmp_path, **extra):
@@ -446,11 +472,13 @@ class TestEquipart:
         fixture = tmp_path / "in.json"
         fixture.write_text(text)
         out = tmp_path / "out.json"
-        res = run_cli("equipart", "--input", str(fixture), "--output", str(out))
+        res = run_cli("equipart", "--input", str(fixture), "--output", str(out),
+                      timeout=60)
         assert res.returncode == 2
         assert res.stderr.startswith("error: ")
         assert len(res.stderr.splitlines()) == 1
         assert not out.exists()
+        return res
 
     def test_nan_polygon_vertex_rejected(self, tmp_path):
         self.assert_input_error(
@@ -563,6 +591,75 @@ class TestEquipart:
         assert res.stderr.splitlines() == [
             "error: weights with n=3000 needs 8997000 site pairs per"
             " power-diagram build, budget is 5000000"]
+
+    @pytest.mark.parametrize("n, pairs", [(137, 5049272), (300, 53550900)])
+    def test_equalize_over_the_step_budget_rejected(self, tmp_path, n, pairs):
+        # a Gauss-Newton step makes one weight solve per 2n - 3 columns; at
+        # n = 300 this had written nothing after a minute
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "equalize", "polygon": SQUARE, "n": n})
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", fixture, "--output", str(out), timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == "" and not out.exists()
+        assert res.stderr.splitlines() == [
+            "error: equalize with n=%d needs %d site pairs per Gauss-Newton step,"
+            " budget is 5000000" % (n, pairs)]
+
+    @pytest.mark.parametrize("n", [64, 136])
+    def test_equalize_within_the_step_budget_runs(self, tmp_path, monkeypatch,
+                                                  capsys, n):
+        # 136 * 135 * 269 = 4938840 site pairs per step fit the default budget;
+        # the search is stubbed to give up at once
+        from equicell import cli
+        from equicell.equalize import EqualizeError
+
+        def give_up(polygon, n, tol, seed):
+            raise EqualizeError("no equal-area diagram in 0 weight solves")
+
+        monkeypatch.delenv("EQUICELL_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "equalize_perimeters", give_up)
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "equalize", "polygon": SQUARE, "n": n})
+        assert cli.main(["equipart", "--input", fixture]) == 1
+        assert capsys.readouterr().err == (
+            "error: no equal-area diagram in 0 weight solves\n")
+
+    @pytest.mark.parametrize("payload, message", [
+        ([SQUARE], "input must be a JSON object"),
+        ({"mode": "weights", "polygon": SQUARE},
+         "mode 'weights' needs sites, a list of [x, y] pairs"),
+        ({"mode": "weights", "polygon": SQUARE, "sites": [[0.2, 0.2, 3], [0.6, 0.5]]},
+         "mode 'weights' needs sites, a list of [x, y] pairs"),
+        ({"mode": "weights", "polygon": SQUARE, "sites": [[0.2, 0.2], 0.5]},
+         "mode 'weights' needs sites, a list of [x, y] pairs"),
+        ({"mode": "equalize", "polygon": SQUARE, "n": True},
+         "mode 'equalize' needs integer n >= 2"),
+    ])
+    def test_malformed_input_named(self, tmp_path, payload, message):
+        res = self.assert_input_error(tmp_path, json.dumps(payload))
+        assert res.stderr == "error: %s\n" % message
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "weights", "sites": [[(0.1 + 0.2 * (i % 5)) * 1e-7,
+                                       (0.125 + 0.25 * (i // 5)) * 1e-7]
+                                      for i in range(20)]},
+        {"mode": "equalize", "n": 20},
+    ])
+    def test_cells_below_the_area_floor_rejected(self, tmp_path, payload):
+        # 20 cells of a square of side 1e-7 would each hold 5e-16, no more
+        # than the AREA_EPS below which a clip counts as empty
+        payload["polygon"] = [[1e-7 * x, 1e-7 * y] for x, y in SQUARE]
+        res = self.assert_input_error(tmp_path, json.dumps(payload))
+        assert res.stderr == ("error: each of n=20 cells would have area 5e-16,"
+                              " not above AREA_EPS = 1e-15\n")
+
+    def test_bad_budget_env(self, tmp_path):
+        res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
+                      env_extra={"EQUICELL_BUDGET": "lots"})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: bad EQUICELL_BUDGET value 'lots'\n"
 
     def test_tol_precedence_flag_over_file(self, tmp_path):
         fixture = self.weights_fixture(tmp_path, tol=1e-30)

@@ -390,6 +390,21 @@ class TestBudget:
         with pytest.raises(ValueError):
             resolve_budget(None)
 
+    def test_charge(self, monkeypatch):
+        # the budget comes back when the need fits; None never fits
+        assert poset_module.charge(10, "task", "things", 10) == 10
+        with pytest.raises(BudgetExceededError) as err:
+            poset_module.charge(10, "task", "things", 11)
+        assert str(err.value) == "task needs 11 things, budget is 10"
+        with pytest.raises(BudgetExceededError) as err:
+            poset_module.charge(10 ** 9, "task", "2^n things")
+        assert str(err.value) == "task needs 2^n things, budget is 1000000000"
+        monkeypatch.setenv("EQUICELL_BUDGET", "3")
+        assert poset_module.charge(None, "task", "things", 0) == 3
+        monkeypatch.setenv("EQUICELL_BUDGET", "three")
+        with pytest.raises(ValueError, match="bad EQUICELL_BUDGET"):
+            poset_module.charge(None, "task", "things", 0)
+
     def test_negative_budget_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_budget(-1)
