@@ -81,9 +81,18 @@ def _top(d: int, kind: str) -> int:
     return d if kind == KIND_COMPLEMENT else d + 1
 
 
-def label_count_bound(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
-    """Exact label count for the cell kind; an upper bound for strata."""
-    return factorial(n) * _top(d, kind) ** (n - 1)
+def label_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
+    """Exact label count: n! d^(n-1) cells.  A stratum is an ordered
+    partition of 1..n into k tied blocks, k! S(n, k) of them, with k - 1
+    separators in 1..d between the blocks."""
+    if kind == KIND_COMPLEMENT:
+        return factorial(n) * d ** (n - 1)
+    # onto[k] = k! S(m, k) after m passes: k ((k-1)! S(m-1, k-1) + k! S(m-1, k))
+    onto = [1]
+    for _ in range(n):
+        onto = [0] + [k * (a + b)
+                      for k, (a, b) in enumerate(zip(onto, onto[1:] + [0]), 1)]
+    return sum(c * d ** (k - 1) for k, c in enumerate(onto) if k)
 
 
 def cover_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
@@ -113,12 +122,13 @@ def charge(budget: int | None, task: str, unit: str, need: int | None = None) ->
 def _check_budget(d, n, kind, budget, covers=False):
     """Refuse unless the labels of (d, n, kind) fit in the budget and, with
     covers, their covers too."""
-    limit, top = resolve_budget(budget), _top(d, kind)
+    limit = resolve_budget(budget)
     task = "enumeration of (d=%d, n=%d, %s)" % (d, n, kind)
-    # n! top^(n-1) >= 2^((n-1) bitlen(top)) > budget: refuse without forming it
-    if (n - 1) * top.bit_length() >= limit.bit_length():
-        charge(limit, task, "n! %d^(n-1) labels" % top)
-    charge(limit, task, "labels", label_count_bound(d, n, kind))
+    # labels >= n! d^(n-1) >= 2^((n-1) bitlen(d)) > budget: refuse unformed
+    if (n - 1) * d.bit_length() >= limit.bit_length():
+        charge(limit, task, ("" if kind == KIND_COMPLEMENT else "more than ")
+               + "n! %d^(n-1) labels" % d)
+    charge(limit, task, "labels", label_count(d, n, kind))
     if covers:
         charge(limit, task, "covers", cover_count(d, n, kind))
 
@@ -166,9 +176,8 @@ def _grid(d: int, n: int, kind: str):
 def _label_rows(perms, words, keep) -> np.ndarray:
     """Label rows (sigma, seps) of every permutation with every word that
     keep admits, in lexicographic order."""
-    rows = np.concatenate([np.repeat(perms, len(words), axis=0),
-                           np.tile(words, (len(perms), 1))], axis=1)
-    return rows[keep.ravel()]
+    i, j = np.nonzero(keep)
+    return np.concatenate([perms[i], words[j]], axis=1)
 
 
 def _cell_labels(rows: np.ndarray, d: int) -> list[CellLabel]:
@@ -488,15 +497,15 @@ def _filled(template: str, sep: str, rows: np.ndarray, chunk: int = 4096):
 
 
 def _json_ints(k: int, pad: int) -> str:
-    # template of a JSON list of k ints laid out as jsonio.dumps lays it out
+    # template of a JSON list of k ints laid out as json.dumps(..., indent=2)
     return ("[\n" + ",\n".join([" " * (pad + 2) + "%d"] * k) + "\n"
             + " " * pad + "]")
 
 
 def poset_json_chunks(poset: FacePoset):
     """The JSON export of a poset, in chunks of text: d, n, kind, then each
-    element's sigma, seps and dim, then the covering pairs, in the layout of
-    `jsonio.dumps`."""
+    element's sigma, seps and dim, then the covering pairs.  The per-n
+    templates reproduce `json.dumps(..., indent=2)` of the same document."""
     n = poset.n
     element = ('    {\n      "sigma": ' + _json_ints(n, 6) + ',\n      "seps": '
                + _json_ints(n - 1, 6) + ',\n      "dim": %d\n    }')

@@ -28,8 +28,11 @@ and at n = 300 about 9 (no weights) to 10-14 (equal-area weights) of 299
 clips per cell remain, against 42 to 60 in index order.  The order depends
 only on the sites and weights, so they reproduce a diagram bit for bit.
 What stays O(n^2) is the numpy thresholds and their per-row sort.  Below
-SKIP_FROM sites the thresholds cost more than the clips they save, and every
-cell is clipped against every other site in index order.
+SKIP_FROM sites every cell is clipped against every other site in index
+order: timed on three polygons with zero and with equal-area weights (2
+cores, CPython 3.11), the threshold build took 1.1-1.4 times as long at 6
+sites, broke even at 9-11, and took at most 0.95 times as long from 12
+sites on (0.4-0.5 at 31).
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ import numpy as np
 from .geometry import ConvexPolygon, _clipped_polygon, clip_tagged, polygon_area
 
 SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
-SKIP_FROM = 32       # fewer sites: thresholds cost more than the clips they skip
+SKIP_FROM = 12       # fewer sites: thresholds save no time over index order
 _BLOCK = 32          # sites per numpy block of skip thresholds
 
 

@@ -129,6 +129,27 @@ class TestComplex:
             "error: enumeration of (d=%d, n=%d, complement) needs n! %d^(n-1) labels,"
             " budget is 5000000" % (d, n, d)]
 
+    @pytest.mark.parametrize("d,n,budget,need", [
+        (2, 6, "66604", "66605 labels"),
+        (4000000, 2, None, "8000001 labels"),
+        (4000000, 3, None, "more than n! 4000000^(n-1) labels")])
+    def test_strata_refusal_names_the_exact_count(self, d, n, budget, need):
+        # the exact count is sum_k k! S(n, k) d^(k-1); past the instant
+        # bound only its lower bound n! d^(n-1) is named
+        args = ["complex", "--kind", "stratification", "--d", str(d), "--n", str(n)]
+        res = run_cli(*args, *(["--budget", budget] if budget else []), timeout=5)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: enumeration of (d=%d, n=%d, stratification) needs %s, budget is %s"
+            % (d, n, need, budget or "5000000")]
+
+    def test_strata_d1_n8_fits_the_default_budget(self):
+        # 545,835 labels and 2,724,878 covers, both under 5,000,000
+        res = run_cli("complex", "--kind", "stratification", "--d", "1", "--n", "8")
+        assert res.returncode == 0
+        assert "elements=545835 covers=2724878" in res.stdout
+        assert "checks=ok" in res.stdout
+
     def test_closed_stdout_exits_cleanly(self):
         # the CSV is far larger than a pipe buffer, so the write fails
         # once the reader has gone
@@ -333,8 +354,8 @@ class TestEquipart:
         assert len(doc["cells"]) == 2
 
     def test_weights_output_is_the_diagram_of_its_sites_and_weights(self, tmp_path):
-        # reals are written at 17 digits, so the printed sites and weights
-        # rebuild the printed areas and perimeters exactly
+        # reals are written in repr's round-trip form, so the printed sites
+        # and weights rebuild the printed areas and perimeters exactly
         from equicell import ConvexPolygon, power_diagram
         fixture = write_json(tmp_path / "in.json",
                              {"mode": "weights", "polygon": SQUARE,

@@ -9,16 +9,31 @@ import pytest
 import support
 from equicell import (ConvexPolygon, equalize_perimeters, power_diagram,
                       render_power_diagram_svg)
-from equicell import jsonio
+from equicell import cli, jsonio
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+# argv of each command that writes JSON with --output; a dict is its --input
+JSON_OUTPUTS = {
+    "complex-d2-n4": ["complex", "--d", "2", "--n", "4"],
+    "strata-d1-n4": ["complex", "--kind", "stratification", "--d", "1", "--n", "4"],
+    "obstruction-n6": ["obstruction", "--n", "6"],
+    "obstruction-n8": ["obstruction", "--n", "8"],
+    "label": ["label", "--input", {"points": [[0.0, 0.0], [1.0, 0.5], [0.0, 1.0]]}],
+    "weights": ["equipart", "--input", {"mode": "weights", "polygon": SQUARE,
+                                        "sites": [[0.21, 0.41], [0.62, 0.53],
+                                                  [0.44, 0.78]]}],
+    "equalize": ["equipart", "--input", {"mode": "equalize", "polygon": SQUARE, "n": 3}],
+}
 
 
 class TestJsonEncoding:
     def test_real_formatting(self):
         assert jsonio.format_real(0.5) == "0.5"
-        assert jsonio.format_real(1.0) == "1"
-        assert jsonio.format_real(-0.0) == "-0"
+        assert jsonio.format_real(1.0) == "1.0"
+        assert jsonio.format_real(-0.0) == "-0.0"
+        assert jsonio.format_real(0.1) == "0.1"  # the shortest form
         text = jsonio.format_real(1 / 3)
-        assert float(text) == 1 / 3  # 17 significant digits roundtrip
+        assert float(text) == 1 / 3  # that reads back exactly
 
     def test_rejects_non_finite(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -28,8 +43,8 @@ class TestJsonEncoding:
                 jsonio.dumps({"x": bad})
 
     def test_numpy_scalars(self):
-        doc = jsonio.dumps({"a": np.float64(0.25), "b": np.int64(7)})
-        assert json.loads(doc) == {"a": 0.25, "b": 7}
+        doc = jsonio.dumps({"a": np.float64(0.25), "b": np.int64(7), "c": np.float32(0.5)})
+        assert json.loads(doc) == {"a": 0.25, "b": 7, "c": 0.5}
 
     def test_structure_and_layout(self):
         doc = jsonio.dumps({"b": [1, 2.5, True, None], "a": {"k": "v"}})
@@ -44,8 +59,23 @@ class TestJsonEncoding:
         assert jsonio.dumps(payload) == jsonio.dumps(payload)
 
     def test_non_string_keys_rejected(self):
+        # json.dumps writes int, float, bool and None keys as strings
         with pytest.raises(TypeError):
-            jsonio.dumps({1: "x"})
+            jsonio.dumps({(1, 2): "x"})
+
+
+@pytest.mark.parametrize("name", JSON_OUTPUTS)
+def test_json_outputs_are_stdlib_json(name, tmp_path, monkeypatch):
+    # every JSON output, the streamed poset export too, is json.dumps's text
+    monkeypatch.delenv("EQUICELL_BUDGET", raising=False)
+    argv = JSON_OUTPUTS[name]
+    if isinstance(argv[-1], dict):
+        (tmp_path / "in.json").write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(tmp_path / "in.json")]
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestSvg:

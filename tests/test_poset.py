@@ -17,10 +17,10 @@ from equicell import (BudgetExceededError, CellLabel,
                       resolve_budget, separator_min, stratum_dimension,
                       validate_covers)
 from equicell import poset as poset_module
-from equicell import cli, jsonio
+from equicell import cli
 from equicell.poset import (_cover_count, _leq, boundary, cond_rows,
                             cover_count, face_matrix, gov_rows,
-                            label_count_bound, poset_csv_chunks)
+                            label_count, poset_csv_chunks)
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -413,15 +413,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             resolve_budget(None)
 
-    def test_count_bound_complement_exact(self):
+    def test_label_count_complement(self):
         for d, n in [(2, 3), (3, 4), (2, 5)]:
-            assert label_count_bound(d, n, KIND_COMPLEMENT) == \
-                factorial(n) * d ** (n - 1)
+            assert label_count(d, n, KIND_COMPLEMENT) == factorial(n) * d ** (n - 1)
 
-    def test_count_bound_stratification_upper(self):
-        for d, n in [(1, 3), (2, 3), (2, 4)]:
+    def test_label_count_stratification(self):
+        for d, n in [(1, 2), (1, 3), (2, 3), (2, 4), (1, 6), (3, 4)]:
             actual = len(enumerate_labels(d, n, KIND_STRATIFICATION))
-            assert actual <= label_count_bound(d, n, KIND_STRATIFICATION)
+            assert actual == label_count(d, n, KIND_STRATIFICATION)
+        assert label_count(2, 6, KIND_STRATIFICATION) == 66605
+        assert label_count(4000000, 2, KIND_STRATIFICATION) == 8000001
 
 
 class TestJson:
@@ -451,12 +452,12 @@ class TestJson:
 
 
 def generic_json(p):
-    """The JSON export through the generic encoder, built from CellLabels."""
-    return jsonio.dumps({
+    """The JSON export through json.dumps, built from CellLabels."""
+    return json.dumps({
         "d": p.d, "n": p.n, "kind": p.kind,
         "elements": [{"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
                      for lab, dim in zip(p.elements, p.dims.tolist())],
-        "covers": [list(pair) for pair in p.covers.tolist()]})
+        "covers": [list(pair) for pair in p.covers.tolist()]}, indent=2) + "\n"
 
 
 class TestColumnar:
