@@ -13,7 +13,6 @@ the letters they span must increase, so each label names its stratum uniquely.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -94,33 +93,12 @@ class CellLabel:
         return "".join(out)
 
     @classmethod
-    def from_string(cls, text: str, d: int) -> "CellLabel":
-        text = text.strip()
-        if not text:
-            raise InvalidLabelError("empty label string")
-        if "<" not in text:
-            return cls.from_bar_string(text, d=d)
-        parts = text.split()
-        sigma, seps = [], []
-        for k, part in enumerate(parts):
-            if k == len(parts) - 1:
-                if not part.isdigit():
-                    raise InvalidLabelError("bad final letter %r" % part)
-                sigma.append(int(part))
-            else:
-                m = re.fullmatch(r"(\d+)<(\d+)", part)
-                if m is None:
-                    raise InvalidLabelError("bad chunk %r" % part)
-                sigma.append(int(m.group(1)))
-                seps.append(int(m.group(2)))
-        return cls(tuple(sigma), tuple(seps), d)
-
-    @classmethod
     def from_bar_string(cls, text: str, d: int = 2) -> "CellLabel":
         if d != 2:
             raise InvalidLabelError("bar shorthand needs d = 2")
         text = text.strip()
-        if not re.fullmatch(r"\d(\|?\d)*", text):
+        # digits split by single bars: framed in bars, an empty slot shows as ||
+        if set(text) - set("0123456789|") or "||" in "|%s|" % text:
             raise InvalidLabelError("bad bar string %r" % text)
         # separators default to 2; a bar between two digits lowers it to 1
         sigma, seps = [], []
@@ -207,10 +185,6 @@ class Configuration:
     @property
     def d(self) -> int:
         return len(self.points[0])
-
-    @property
-    def has_distinct_points(self) -> bool:
-        return len(set(self.points)) == self.n
 
 
 def vertex_coordinates(label: CellLabel) -> Configuration:

@@ -61,13 +61,22 @@ class Sites:
             raise ValueError("need at least one site")
         if not all(isfinite(x) and isfinite(y) for x, y in pts):
             raise ValueError("sites must be finite")
+        # sites closer than 1e-12 coincide, and are that close in x: in x
+        # order, each site meets the next ones only while the x gap allows
         m = len(pts)
-        for i in range(m):
-            for j in range(i + 1, m):
-                dx = pts[i][0] - pts[j][0]
-                dy = pts[i][1] - pts[j][1]
+        order = sorted(range(m), key=lambda k: pts[k][0])
+        close = []
+        for a, i in enumerate(order):
+            xi, yi = pts[i]
+            for b in range(a + 1, m):
+                j = order[b]
+                dx, dy = xi - pts[j][0], yi - pts[j][1]
+                if dx * dx >= 1e-24:
+                    break
                 if dx * dx + dy * dy < 1e-24:
-                    raise ValueError("sites %d and %d coincide" % (i, j))
+                    close.append((min(i, j), max(i, j)))
+        if close:  # name the first pair by index
+            raise ValueError("sites %d and %d coincide" % min(close))
 
     def __len__(self):
         return len(self.points)
@@ -86,16 +95,7 @@ class Weights:
             raise ValueError("need at least one weight")
         scale = 1.0 + max(abs(v) for v in vals)
         if abs(sum(vals)) > 1e-9 * len(vals) * scale:
-            raise ValueError("weights must sum to zero; use Weights.normalized")
-
-    @classmethod
-    def normalized(cls, values) -> "Weights":
-        vals = [float(v) for v in values]
-        mean = sum(vals) / len(vals)
-        return cls(tuple(v - mean for v in vals))
-
-    def __len__(self):
-        return len(self.values)
+            raise ValueError("weights must sum to zero")
 
 
 @dataclass(frozen=True)
@@ -231,14 +231,3 @@ def perimeter_spread(diagram: PowerDiagram) -> float:
         raise ValueError("spread undefined: some cell is empty")
     return max(diagram.perimeters) - min(diagram.perimeters)
 
-
-def point_cell_index(diagram: PowerDiagram, point) -> int:
-    """Index of the cell owning a point; ties go to the lowest site index."""
-    px, py = float(point[0]), float(point[1])
-    best_i = 0
-    best = None
-    for i, (x, y) in enumerate(diagram.sites.points):
-        v = (px - x) ** 2 + (py - y) ** 2 - diagram.weights[i]
-        if best is None or v < best:
-            best, best_i = v, i
-    return best_i

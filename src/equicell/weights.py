@@ -5,9 +5,13 @@ Equal shares are the maximizer of a concave dual function whose gradient is
 iteration on the share map.  Its Jacobian comes from the wall geometry:
 moving w_i shifts the wall between cells i and j at rate 1/(2 |x_i - x_j|),
 so d(area_i)/d(w_i) = sum_j len_ij / (2 dist_ij) and d(area_i)/d(w_j) is the
-negative single term.  The matrix is symmetric, positive semidefinite, and
-singular exactly along constant shifts, which the zero-sum normalization
-quotients away.
+negative single term.  This J is the Laplacian of the wall graph, which is
+connected for nonempty cells tiling a convex polygon, so J is singular only
+along constant shifts and each Newton step solves the nonsingular
+(J + 11^T/n) delta = A r for the share residual r.  Since r and the columns
+of J sum to zero, delta does too: it is the minimum-norm solution of
+J delta = A r.  Walls merged below MERGE_EPS can still disconnect the graph
+in doubles; a singular system then ends the solve with WeightSolveError.
 
 Safeguards: Newton needs every cell to hold area, since an empty cell has
 no walls and so no Jacobian row.  The iteration starts from w0, or from
@@ -90,8 +94,9 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     reproduces bit for bit, since every iterate is centered and the weights
     are returned as iterated.  Raises ValueError when even the seed leaves a
     cell empty, which doubles cannot avoid for such sites, and
-    WeightSolveError when the line search stalls or the iteration cap is
-    hit; it carries the last weights and their diagram.
+    WeightSolveError when the Newton system is singular, the line search
+    stalls or the iteration cap is hit; it carries the last weights and
+    their diagram.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
@@ -131,9 +136,12 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
                                    weights=tuple(w), diagram=diag, residual=rn,
                                    iterations=iters)
         iters += 1
-        J = area_jacobian(diag) / A
-        delta = np.linalg.lstsq(J, r, rcond=None)[0]
-        delta -= delta.mean()
+        try:
+            delta = np.linalg.solve((area_jacobian(diag) + target) / A, r)
+        except np.linalg.LinAlgError:
+            raise WeightSolveError("singular area Jacobian at residual %.3e" % rn,
+                                   weights=tuple(w), diagram=diag, residual=rn,
+                                   iterations=iters) from None
         floor = 0.5 * min(float(frac.min()), target)
         t = 1.0
         while t >= 1e-12:

@@ -244,6 +244,20 @@ def jittered_grid_sites(rng, polygon, n):
         k += 1
 
 
+def coincident_pair(points):
+    """The first pair (i, j), i < j, of points closer than 1e-12, found by
+    testing every pair in index order; None when there is none.  Sites
+    must reject exactly these point sets and name this pair."""
+    m = len(points)
+    for i in range(m):
+        for j in range(i + 1, m):
+            dx = points[i][0] - points[j][0]
+            dy = points[i][1] - points[j][1]
+            if dx * dx + dy * dy < 1e-24:
+                return i, j
+    return None
+
+
 def rigid_motion(angle, shift):
     """Return a point map applying rotation by angle then translation."""
     c, s = np.cos(angle), np.sin(angle)

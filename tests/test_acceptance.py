@@ -72,7 +72,7 @@ def test_criterion_02_planar_three_point_complex():
     fv_ok = poset.f_vector() == (6, 12, 6)
     edges_ok = all(len(poset.upper_covers(i)) == 3
                    for i in poset.elements_of_dim(1))
-    facet = CellLabel.from_string("123", d=2)
+    facet = CellLabel.from_bar_string("123")
     boundary = {poset.elements[j].to_bar_string()
                 for j in poset.lower_covers(poset.index(facet))}
     want = {"1|23", "13|2", "3|12", "23|1", "2|13", "12|3"}

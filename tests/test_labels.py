@@ -109,16 +109,12 @@ class TestStrings:
     def test_to_string_token_syntax(self):
         assert CellLabel((1, 3, 2), (2, 1), 2).to_string() == "1<2 3<1 2"
 
-    def test_from_string_roundtrip(self):
-        for lab in (BIG, CellLabel((1, 2), (1,), 3), CellLabel((1, 3, 2), (3, 1), 2)):
-            assert CellLabel.from_string(lab.to_string(), lab.d) == lab
-
     def test_bar_shorthand(self):
-        lab = CellLabel.from_string("13|2", 2)
+        lab = CellLabel.from_bar_string("13|2")
         assert lab == CellLabel((1, 3, 2), (2, 1), 2)
         assert lab.to_bar_string() == "13|2"
-        assert CellLabel.from_string("1|2|3", 2) == CellLabel((1, 2, 3), (1, 1), 2)
-        assert CellLabel.from_string("123", 2) == CellLabel((1, 2, 3), (2, 2), 2)
+        assert CellLabel.from_bar_string("1|2|3") == CellLabel((1, 2, 3), (1, 1), 2)
+        assert CellLabel.from_bar_string(" 123 ") == CellLabel((1, 2, 3), (2, 2), 2)
 
     def test_bar_string_requires_d2_cells(self):
         with pytest.raises(InvalidLabelError):
@@ -127,9 +123,12 @@ class TestStrings:
             CellLabel((1, 2), (3,), 2).to_bar_string()
 
     def test_malformed_strings(self):
-        for text in ("", "1<2", "1<2 9", "1<0 2", "12|", "x|y"):
-            with pytest.raises((InvalidLabelError, ValueError)):
-                CellLabel.from_string(text, 2)
+        for text in ("", "|", "1<2", "1<2 9", "1<0 2", "12|", "|12", "1||2", "x|y",
+                     "1 2", "11", "13"):
+            with pytest.raises(InvalidLabelError):
+                CellLabel.from_bar_string(text)
+        with pytest.raises(InvalidLabelError):
+            CellLabel.from_bar_string("12", d=3)
 
 
 class TestVertexCoordinates:
@@ -177,10 +176,6 @@ class TestFoxNeuwirth:
     def test_coincident_points_get_tie_separator(self):
         cfg = Configuration(((1.0, 2.0), (1.0, 2.0)))
         assert fox_neuwirth_label(cfg) == CellLabel((1, 2), (3,), 2)
-
-    def test_distinctness_flag(self):
-        assert not Configuration(((1.0, 2.0), (1.0, 2.0))).has_distinct_points
-        assert Configuration(((0.0, 0.0), (1.0, 0.0))).has_distinct_points
 
 
 class TestRoundtrip:

@@ -27,7 +27,7 @@ BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
 
 
 def bar(text):
-    return CellLabel.from_string(text, 2)
+    return CellLabel.from_bar_string(text)
 
 
 class TestFacePredicates:

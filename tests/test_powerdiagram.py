@@ -7,7 +7,7 @@ import pytest
 
 import support
 from equicell import (ConvexPolygon, PowerDiagram, Sites, Weights,
-                      perimeter_spread, point_cell_index, power_diagram,
+                      perimeter_spread, power_diagram,
                       solve_equal_measure_weights)
 from equicell import powerdiagram
 from equicell import weights as weight_solver
@@ -22,6 +22,31 @@ class TestSitesWeights:
             Sites(((0.3, 0.3), (0.3, 0.3)))
         Sites(((0.3, 0.3), (0.4, 0.3)))
 
+    def test_coincidence_matches_all_pairs(self):
+        # plant exact copies, pairs just inside or outside 1e-12, pairs
+        # closer than that in x alone, and rows and columns of equal y or x;
+        # in the unit square 1e-12 is far above an ulp, at scale 1e3 a few
+        rng = np.random.default_rng(149)
+        verdicts = set()
+        for trial in range(300):
+            n = int(rng.integers(2, 30))
+            pts = rng.random((n, 2)) * (1.0 if trial % 2 else 1e3)
+            for _ in range(int(rng.integers(0, 6))):
+                i, j = rng.choice(n, 2, replace=False)
+                offset = [(0.0, 0.0), rng.uniform(-1.5e-12, 1.5e-12, 2),
+                          (rng.uniform(-1e-12, 1e-12), rng.random()),
+                          (0.0, rng.random()), (rng.random(), 0.0)][rng.integers(5)]
+                pts[j] = pts[i] + offset
+            pts = tuple(map(tuple, pts))
+            want = support.coincident_pair(pts)
+            verdicts.add(want is None)
+            if want is None:
+                Sites(pts)
+            else:
+                with pytest.raises(ValueError, match="^sites %d and %d coincide$" % want):
+                    Sites(pts)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_site_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -31,11 +56,6 @@ class TestSitesWeights:
         with pytest.raises(ValueError):
             Weights((0.5, 0.2))
         Weights((0.5, -0.5))
-
-    def test_normalized_classmethod(self):
-        w = Weights.normalized((1.0, 2.0, 3.0))
-        assert w.values == pytest.approx((-1.0, 0.0, 1.0), abs=1e-15)
-        assert sum(w.values) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestPowerDiagram:
@@ -114,12 +134,6 @@ class TestPowerDiagram:
                 assert cell.contains(tuple(pts[k]), eps=1e-9)
             total_samples += len(pts)
         assert total_samples >= 100000
-
-    def test_point_cell_index(self):
-        pd = power_diagram(SQUARE, ((0.25, 0.5), (0.75, 0.5)))
-        assert point_cell_index(pd, (0.1, 0.5)) == 0
-        assert point_cell_index(pd, (0.9, 0.5)) == 1
-        assert point_cell_index(pd, (0.5, 0.5)) == 0  # tie goes to low index
 
     def test_interfaces_symmetric(self):
         rng = np.random.default_rng(59)

@@ -8,6 +8,7 @@ import pytest
 import support
 from equicell import (ConvexPolygon, Sites, WeightSolveError, area_jacobian,
                       power_diagram, solve_equal_measure_weights)
+from equicell import weights as weight_solver
 from equicell.weights import _voronoi_seed
 
 SQUARE = support.UNIT_SQUARE
@@ -259,6 +260,33 @@ class TestSolve:
         assert err.residual is not None and err.residual > 0
         assert err.diagram == power_diagram(poly, sites, err.weights)
 
+    def test_line_search_stall_reports_last_iterate(self):
+        # an impossible tolerance: once the residual is at rounding level no
+        # step can lower it, so the line search halves down to its floor
+        sites = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8), (0.3, 0.6))
+        with pytest.raises(WeightSolveError) as info:
+            solve_equal_measure_weights(SQUARE, sites, tol=1e-30)
+        err = info.value
+        assert str(err).startswith("line search stalled")
+        assert err.residual > 0
+        assert power_diagram(SQUARE, sites, err.weights) == err.diagram
+
+    def test_singular_newton_system_reports_last_iterate(self, monkeypatch):
+        # a wall graph in two components leaves J + 11^T/n singular; this one
+        # is exactly singular in doubles, so the LU factorization meets a
+        # zero pivot
+        sites = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8), (0.3, 0.6))
+        two_pairs = np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
+        monkeypatch.setattr(weight_solver, "area_jacobian", lambda diagram: two_pairs)
+        with pytest.raises(WeightSolveError) as info:
+            solve_equal_measure_weights(SQUARE, sites)
+        err = info.value
+        assert str(err).startswith("singular area Jacobian")
+        assert err.iterations == 1
+        assert err.weights == (0.0,) * 4
+        assert err.residual > 0
+        assert power_diagram(SQUARE, sites, err.weights) == err.diagram
+
     def test_coincident_sites_rejected(self):
         with pytest.raises(ValueError):
             solve_equal_measure_weights(SQUARE, ((0.5, 0.5), (0.5, 0.5)))
@@ -286,3 +314,70 @@ class TestSolve:
                           (half_outside, None), (((0.3, 0.7),), None)):
             w, stats = solve_equal_measure_weights(SQUARE, sites, w0=w0)
             assert power_diagram(SQUARE, sites, w) == stats["diagram"]
+
+
+class TestNewtonStep:
+    """The step solves (J + 11^T/n) delta = A r; it must be the recentred
+    least-squares step of J delta = A r, up to rounding amplified by the
+    conditioning of the system."""
+
+    @staticmethod
+    def first_step(monkeypatch, poly, sites):
+        """The start diagram and the first Newton step of the solve."""
+        with pytest.raises(WeightSolveError) as info:
+            solve_equal_measure_weights(poly, sites, tol=1e-30, max_iter=0)
+        steps = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            steps.append(solve(a, b))
+            return steps[-1]
+        with monkeypatch.context() as patch, pytest.raises(WeightSolveError):
+            patch.setattr(np.linalg, "solve", spy)
+            solve_equal_measure_weights(poly, sites, tol=1e-30, max_iter=1)
+        return info.value.diagram, steps[0]
+
+    @staticmethod
+    def lstsq_step(diagram):
+        n, A = diagram.n, diagram.polygon.area
+        r = 1.0 / n - np.array(diagram.areas) / A
+        delta = np.linalg.lstsq(area_jacobian(diagram) / A, r, rcond=None)[0]
+        return delta - delta.mean()
+
+    def check(self, monkeypatch, poly, sites, bound):
+        diagram, step = self.first_step(monkeypatch, poly, sites)
+        assert all(c is not None for c in diagram.cells)
+        want = self.lstsq_step(diagram)
+        J = area_jacobian(diagram)
+        cond = np.linalg.cond(J + 1.0 / len(sites))
+        assert abs(step.sum()) <= bound(cond) * np.abs(step).sum()
+        assert np.abs(step - want).max() <= bound(cond) * np.abs(want).max()
+        return cond
+
+    def test_well_conditioned(self, monkeypatch):
+        rng = np.random.default_rng(137)
+        pentagon = ConvexPolygon(((0.0, 0.0), (1.8, 0.1), (2.2, 1.0),
+                                  (1.0, 1.9), (-0.3, 1.1)))
+        grid = support.jittered_grid_sites(rng, pentagon, 300)
+        x0, y0, x1, y1 = pentagon.bbox
+        box = rng.uniform((x0 - 0.4, y0 - 0.4), (x1 + 0.4, y1 + 0.4), (100, 2))
+        half_outside = tuple(map(tuple, box))
+        assert None in power_diagram(pentagon, half_outside).cells
+        xs = np.linspace(0.05, 0.95, 20)
+        collinear = tuple(zip(xs, 0.5 + 1e-6 * rng.standard_normal(20)))
+        for poly, sites in ((pentagon, grid), (pentagon, half_outside),
+                            (SQUARE, collinear)):
+            self.check(monkeypatch, poly, sites, lambda cond: 1e-10)
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-9])
+    def test_ill_conditioned(self, monkeypatch, spread):
+        # a tight cluster, or a close pair, makes short walls between near
+        # sites: J has entries of order 1/spread and a large condition number
+        rng = np.random.default_rng(139)
+        if spread == 1e-9:
+            near = ((0.5, 0.5), (0.5 + spread, 0.5))
+        else:
+            near = tuple(map(tuple, 0.5 + rng.uniform(-spread, spread, (5, 2))))
+        sites = support.random_sites_inside(rng, SQUARE, 5) + near
+        cond = self.check(monkeypatch, SQUARE, sites, lambda cond: 1e-12 * cond)
+        assert cond > 1e5
