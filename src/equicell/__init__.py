@@ -15,7 +15,7 @@ from .obstruction import (ObstructionReport, RidgeOrbitCochain, binomial_gcd,
                           expected_incidence_row, is_prime_power, obstruction_report,
                           prime_power, ridge_orbit_index, verify_coboundary_on_complex)
 from .geometry import AREA_EPS, MERGE_EPS, ConvexPolygon
-from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread, power_diagram
+from .powerdiagram import PowerDiagram, Sites, perimeter_spread, power_diagram
 from .weights import WeightSolveError, area_jacobian, solve_equal_measure_weights
 from .equalize import EqualizeResult, equalize_perimeters
 from .svgout import render_power_diagram_svg

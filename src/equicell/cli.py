@@ -248,8 +248,8 @@ def cmd_equipart(args) -> int:
         except (ValueError, TypeError, OverflowError) as e:
             return _fail("bad sites: %s" % e, EXIT_INPUT)
         try:
-            _, stats = solve_equal_measure_weights(polygon, sites, tol=tol)
-            diag, iters, converged = stats["diagram"], stats["iterations"], True
+            diag, iters = solve_equal_measure_weights(polygon, sites, tol=tol)
+            converged = True
         except WeightSolveError as e:
             diag, iters, converged = e.diagram, e.iterations, False
         except ValueError as e:  # even the seed leaves a cell empty

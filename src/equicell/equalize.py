@@ -29,7 +29,7 @@ from itertools import count
 import numpy as np
 
 from .geometry import ConvexPolygon, check_finite_extent
-from .powerdiagram import PowerDiagram, Sites, Weights, perimeter_spread
+from .powerdiagram import PowerDiagram, Sites, perimeter_spread
 from .weights import WeightSolveError, solve_equal_measure_weights
 
 
@@ -39,8 +39,9 @@ class EqualizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EqualizeResult:
-    sites: Sites
-    weights: Weights
+    """The best diagram, whose sites and weights are the answer, its spread,
+    the search's weight solves and the start that found the diagram."""
+
     diagram: PowerDiagram
     spread: float
     converged: bool
@@ -68,12 +69,12 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     """Equal-area decomposition with perimeter spread at most tol, if found.
 
     Deterministic for fixed arguments.  max_evals bounds the weight solves of
-    the search, and evaluations counts them.  The result is the best
-    evaluation as solved: its sites, weights and diagram, and the spread of
-    that diagram.  When no configuration reaches tol within the budget, the
-    best one found is returned with converged = False.  EqualizeError means
-    no configuration had an equal-area diagram, ValueError a polygon too
-    large for floats.
+    the search, and evaluations counts them.  The result holds the best
+    evaluation's diagram as its weight solve returned it, sites and weights
+    included, and the spread of that diagram.  When no configuration reaches
+    tol within the budget, the best one found is returned with
+    converged = False.  EqualizeError means no configuration had an
+    equal-area diagram, ValueError a polygon too large for floats.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -83,23 +84,23 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     h = 1e-7 * diam
     rng = np.random.default_rng(seed)
     evals = 0
-    best = (np.inf, None, None, 0)   # (spread, weights, diagram, start index)
+    best = (np.inf, None, 0)   # (spread, diagram, start index)
 
     def evaluate(x, w0):
-        # (perimeters - mean, weights, diagram) at sites x; None when the
-        # budget is spent, the sites coincide or the weight solve fails
+        # (perimeters - mean, diagram) at sites x; None when the budget is
+        # spent, the sites coincide or the weight solve fails
         nonlocal evals
         if evals >= max_evals:
             return None
         evals += 1
         try:
             sts = Sites(tuple(map(tuple, x)))
-            wts, stats = solve_equal_measure_weights(polygon, sts, tol=1e-11,
-                                                     max_iter=400, w0=w0)
+            diag, _ = solve_equal_measure_weights(polygon, sts, tol=1e-11,
+                                                  max_iter=400, w0=w0)
         except (WeightSolveError, ValueError):
             return None
-        p = np.array(stats["diagram"].perimeters)
-        return p - p.mean(), wts, stats["diagram"]
+        p = np.array(diag.perimeters)
+        return p - p.mean(), diag
 
     def gauss_newton_step(x, r, w):
         # sites after a backtracked min-norm step and their evaluation, which
@@ -129,17 +130,16 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
         x = _random_sites(polygon, n, rng, diam)
         got = evaluate(x, None)
         while got is not None:
-            r, wts, diag = got
+            r, diag = got
             spread = perimeter_spread(diag)
             if spread < best[0]:
-                best = (spread, wts, diag, start)
+                best = (spread, diag, start)
             if spread <= tol:
                 break
-            x, got = gauss_newton_step(x, r, wts.values)
+            x, got = gauss_newton_step(x, r, diag.weights)
 
-    spread, wts, diag, start = best
+    spread, diag, start = best
     if diag is None:
         raise EqualizeError("no equal-area diagram in %d weight solves" % evals)
-    return EqualizeResult(sites=diag.sites, weights=wts, diagram=diag, spread=spread,
-                          converged=spread <= tol, evaluations=evals,
-                          start_index=start)
+    return EqualizeResult(diagram=diag, spread=spread, converged=spread <= tol,
+                          evaluations=evals, start_index=start)

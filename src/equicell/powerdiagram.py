@@ -83,22 +83,6 @@ class Sites:
 
 
 @dataclass(frozen=True)
-class Weights:
-    """Weight vector normalized to sum zero."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("need at least one weight")
-        scale = 1.0 + max(abs(v) for v in vals)
-        if abs(sum(vals)) > 1e-9 * len(vals) * scale:
-            raise ValueError("weights must sum to zero")
-
-
-@dataclass(frozen=True)
 class PowerDiagram:
     """The clipped cells plus their measures and pairwise interface lengths.
 
@@ -161,18 +145,13 @@ def _reach_rows(pts, wvals):
 def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     """Decompose the polygon by weighted nearest site.
 
-    weights may be a Weights instance or any float sequence; values are used
-    as given (the decomposition only sees differences).
+    weights is None (all zero) or any float sequence, used as given (the
+    decomposition only sees differences).
     """
     sts = _as_site_tuple(sites)
     pts = sts.points
     m = len(pts)
-    if weights is None:
-        wvals = (0.0,) * m
-    elif isinstance(weights, Weights):
-        wvals = weights.values
-    else:
-        wvals = tuple(float(v) for v in weights)
+    wvals = (0.0,) * m if weights is None else tuple(float(v) for v in weights)
     if len(wvals) != m:
         raise ValueError("need one weight per site")
 

@@ -34,19 +34,17 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ConvexPolygon
-from .powerdiagram import PowerDiagram, Weights, _as_site_tuple, power_diagram
+from .powerdiagram import PowerDiagram, _as_site_tuple, power_diagram
 
 
 class WeightSolveError(RuntimeError):
-    """Non-convergence; carries the last weights and their diagram."""
+    """Non-convergence; carries the last diagram, whose weights are the last
+    iterate, and the iteration count."""
 
-    def __init__(self, message, weights=None, residual=None, iterations=0,
-                 diagram=None):
+    def __init__(self, message, diagram=None, iterations=0):
         super().__init__(message)
-        self.weights = weights
-        self.residual = residual
-        self.iterations = iterations
         self.diagram = diagram
+        self.iterations = iterations
 
 
 def area_jacobian(diagram: PowerDiagram) -> np.ndarray:
@@ -84,19 +82,19 @@ def _voronoi_seed(polygon: ConvexPolygon, sites) -> np.ndarray:
 
 def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-10,
                                 max_iter: int = 10000, w0=None):
-    """Weights whose cells each hold area(polygon)/n, to |share - 1/n| <= tol.
+    """The diagram whose cells each hold area(polygon)/n, to
+    |share - 1/n| <= tol, and the Newton iterations it took.
 
-    tol bounds the infinity norm of the normalized area residual.  w0 seeds
-    the iteration (any float vector; it is recentered); the maximizer itself
-    is unique once centered, so different seeds land on the same answer.
-    Returns (weights, stats): stats holds the iteration count, the final
-    residual and the diagram, which power_diagram(polygon, sites, weights)
-    reproduces bit for bit, since every iterate is centered and the weights
-    are returned as iterated.  Raises ValueError when even the seed leaves a
-    cell empty, which doubles cannot avoid for such sites, and
-    WeightSolveError when the Newton system is singular, the line search
-    stalls or the iteration cap is hit; it carries the last weights and
-    their diagram.
+    tol bounds the infinity norm of the normalized area residual
+    max |1/n - area_i / A|.  w0 seeds the iteration (any float vector; it is
+    recentered); the maximizer itself is unique once centered, so different
+    seeds land on the same answer.  Returns (diagram, iterations): the
+    solved weights are diagram.weights, centered as every iterate is, and
+    power_diagram(polygon, sites, diagram.weights) rebuilds the diagram bit
+    for bit.  Raises ValueError when even the seed leaves a cell empty,
+    which doubles cannot avoid for such sites, and WeightSolveError when the
+    Newton system is singular, the line search stalls or the iteration cap
+    is hit; it carries the last diagram and the iteration count.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
@@ -133,15 +131,13 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     while rn > tol:
         if iters >= max_iter:
             raise WeightSolveError("no convergence in %d iterations" % max_iter,
-                                   weights=tuple(w), diagram=diag, residual=rn,
-                                   iterations=iters)
+                                   diag, iters)
         iters += 1
         try:
             delta = np.linalg.solve((area_jacobian(diag) + target) / A, r)
         except np.linalg.LinAlgError:
             raise WeightSolveError("singular area Jacobian at residual %.3e" % rn,
-                                   weights=tuple(w), diagram=diag, residual=rn,
-                                   iterations=iters) from None
+                                   diag, iters) from None
         floor = 0.5 * min(float(frac.min()), target)
         t = 1.0
         while t >= 1e-12:
@@ -156,7 +152,6 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
             t *= 0.5
         else:
             raise WeightSolveError("line search stalled at residual %.3e" % rn,
-                                   weights=tuple(w), diagram=diag, residual=rn,
-                                   iterations=iters)
+                                   diag, iters)
 
-    return Weights(tuple(w)), {"iterations": iters, "residual": rn, "diagram": diag}
+    return diag, iters

@@ -22,7 +22,7 @@ from math import dist
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from equicell import (CellLabel, ConvexPolygon, KIND_COMPLEMENT, PowerDiagram, Weights,
+from equicell import (CellLabel, ConvexPolygon, KIND_COMPLEMENT, PowerDiagram,
                       enumerate_labels, ridge_orbit_index)
 from equicell.geometry import (AREA_EPS, _merge_close, clip_tagged, polygon_area,
                                polygon_perimeter)
@@ -294,6 +294,13 @@ UNIT_SQUARE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 UNIT_TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3.0) / 2)))
 
 
+def area_residual(diagram):
+    """max |1/n - area_i / A|, the share residual the weight solve drives
+    below its tol, as the solve computes it."""
+    frac = np.array(diagram.areas) / diagram.polygon.area
+    return float(np.abs(1.0 / diagram.n - frac).max())
+
+
 def clip_every_time(pts, tags, a, c, new_tag):
     """clip_tagged without its shortcut for a half-plane holding every vertex:
     the result is always rebuilt, merged and re-measured."""
@@ -325,19 +332,6 @@ def clip_every_time(pts, tags, a, c, new_tag):
     return out_p, out_t
 
 
-def _weight_values(sts, weights):
-    m = len(sts)
-    if weights is None:
-        wvals = (0.0,) * m
-    elif isinstance(weights, Weights):
-        wvals = weights.values
-    else:
-        wvals = tuple(float(v) for v in weights)
-    if len(wvals) != m:
-        raise ValueError("need one weight per site")
-    return wvals
-
-
 def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     """The diagram whose cell i is clip_cell(i, order, reach, start, r,
     halfplane), as (points, tags), measured with the geometry module's own
@@ -347,7 +341,7 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     halfplane(j) gives the (a, c) that the build clips with against site j."""
     sts = _as_site_tuple(sites)
     pts = sts.points
-    wvals = _weight_values(sts, weights)
+    wvals = (0.0,) * len(pts) if weights is None else tuple(float(v) for v in weights)
     start = (list(polygon.vertices), [-(e + 1) for e in range(len(polygon.vertices))])
 
     cells = []

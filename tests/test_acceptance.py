@@ -155,27 +155,27 @@ def test_criterion_07_coboundary_on_full_complex():
 
 def test_criterion_08_equal_area_weights():
     sites = Sites(((0.25, 0.5), (0.6, 0.5)))
-    wts, _ = solve_equal_measure_weights(UNIT_SQUARE, sites, tol=1e-12)
-    closed_form_ok = abs(wts.values[0] - 0.02625) <= 1e-9
+    solved, _ = solve_equal_measure_weights(UNIT_SQUARE, sites, tol=1e-12)
+    closed_form_ok = abs(solved.weights[0] - 0.02625) <= 1e-9
 
     rng = np.random.default_rng(20260822)
     random_ok = True
     for _ in range(3):
         pts = Sites(random_sites_inside(rng, UNIT_SQUARE, 5))
         t0 = time.perf_counter()
-        w, _ = solve_equal_measure_weights(UNIT_SQUARE, pts, tol=1e-10)
+        solved, _ = solve_equal_measure_weights(UNIT_SQUARE, pts, tol=1e-10)
         dt = time.perf_counter() - t0
-        areas = np.array(power_diagram(UNIT_SQUARE, pts, w.values).areas)
+        areas = np.array(power_diagram(UNIT_SQUARE, pts, solved.weights).areas)
         if np.abs(areas - 0.2).max() > 1e-9 or dt >= 1.0:
             random_ok = False
 
     base = np.array(solve_equal_measure_weights(UNIT_SQUARE, pts,
-                                                tol=1e-10)[0].values)
+                                                tol=1e-10)[0].weights)
     restart_ok = True
     for _ in range(10):
         w0 = tuple(rng.normal(scale=0.05, size=5))
         again, _ = solve_equal_measure_weights(UNIT_SQUARE, pts, tol=1e-10, w0=w0)
-        if np.abs(np.array(again.values) - base).max() > 1e-8:
+        if np.abs(np.array(again.weights) - base).max() > 1e-8:
             restart_ok = False
 
     ok = closed_form_ok and random_ok and restart_ok

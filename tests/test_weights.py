@@ -95,14 +95,14 @@ class TestAreaJacobian:
 
 class TestSolve:
     def test_symmetric_pair_gets_zero_weights(self):
-        w, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.75, 0.5)))
-        assert w.values == pytest.approx((0.0, 0.0), abs=1e-12)
+        pd, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.75, 0.5)))
+        assert pd.weights == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_closed_form_pair(self):
-        w, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.6, 0.5)),
-                                           tol=1e-12)
-        assert w.values[0] == pytest.approx(0.02625, abs=1e-9)
-        assert w.values[1] == pytest.approx(-0.02625, abs=1e-9)
+        pd, _ = solve_equal_measure_weights(SQUARE, ((0.25, 0.5), (0.6, 0.5)),
+                                            tol=1e-12)
+        assert pd.weights[0] == pytest.approx(0.02625, abs=1e-9)
+        assert pd.weights[1] == pytest.approx(-0.02625, abs=1e-9)
 
     def test_threefold_symmetry_gets_zero_weights(self):
         tri = support.UNIT_TRIANGLE
@@ -113,8 +113,8 @@ class TestSolve:
             c, s = np.cos(angle), np.sin(angle)
             dx, dy = p[0] - cx, p[1] - cy
             sites.append((cx + c * dx - s * dy, cy + s * dx + c * dy))
-        w, _ = solve_equal_measure_weights(tri, tuple(sites), tol=1e-12)
-        assert np.abs(w.values).max() < 1e-9
+        pd, _ = solve_equal_measure_weights(tri, tuple(sites), tol=1e-12)
+        assert np.abs(pd.weights).max() < 1e-9
 
     def test_random_instances_hit_tight_tolerance(self):
         rng = np.random.default_rng(89)
@@ -122,9 +122,9 @@ class TestSolve:
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 5)
             t0 = time.time()
-            w, _ = solve_equal_measure_weights(poly, sites, tol=1e-10)
+            solved, _ = solve_equal_measure_weights(poly, sites, tol=1e-10)
             elapsed = time.time() - t0
-            pd = power_diagram(poly, sites, w)
+            pd = power_diagram(poly, sites, solved.weights)
             frac = np.array(pd.areas) / poly.area
             assert np.abs(frac - 0.2).max() <= 1e-9
             assert elapsed < 1.0
@@ -135,7 +135,7 @@ class TestSolve:
         sites = support.random_sites_inside(rng, poly, 4)
         a, _ = solve_equal_measure_weights(poly, sites)
         b, _ = solve_equal_measure_weights(poly, sites)
-        assert a.values == b.values
+        assert a == b
 
     def test_unique_across_restarts(self):
         rng = np.random.default_rng(101)
@@ -143,13 +143,13 @@ class TestSolve:
         sites = support.random_sites_inside(rng, poly, 5)
         tol = 1e-10
         base = np.array(
-            solve_equal_measure_weights(poly, sites, tol=tol)[0].values)
+            solve_equal_measure_weights(poly, sites, tol=tol)[0].weights)
         for _ in range(10):
             w0 = rng.normal(scale=0.05 * np.sqrt(poly.area), size=5)
             w0 -= w0.mean()
-            w, _ = solve_equal_measure_weights(poly, sites, tol=tol,
-                                               w0=tuple(w0))
-            assert np.abs(np.array(w.values) - base).max() <= 10 * tol
+            pd, _ = solve_equal_measure_weights(poly, sites, tol=tol,
+                                                w0=tuple(w0))
+            assert np.abs(np.array(pd.weights) - base).max() <= 10 * tol
 
     def test_continuity_in_sites(self):
         rng = np.random.default_rng(103)
@@ -158,13 +158,13 @@ class TestSolve:
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 4)
             base = np.array(
-                solve_equal_measure_weights(poly, sites, tol=1e-12)[0].values)
+                solve_equal_measure_weights(poly, sites, tol=1e-12)[0].weights)
             bump = rng.normal(size=(4, 2))
             bump *= delta / np.abs(bump).max()
             moved = tuple((s[0] + b[0], s[1] + b[1])
                           for s, b in zip(sites, bump))
             shifted = np.array(
-                solve_equal_measure_weights(poly, moved, tol=1e-12)[0].values)
+                solve_equal_measure_weights(poly, moved, tol=1e-12)[0].weights)
             assert np.abs(shifted - base).max() < 1e3 * delta
 
     def test_relabeling_sites_relabels_weights(self):
@@ -172,24 +172,24 @@ class TestSolve:
         poly = support.random_convex_polygon(rng)
         sites = support.random_sites_inside(rng, poly, 5)
         base = np.array(solve_equal_measure_weights(poly, sites,
-                                                    tol=1e-12)[0].values)
+                                                    tol=1e-12)[0].weights)
         perm = list(rng.permutation(5))
         moved = tuple(sites[k] for k in perm)
         permuted = np.array(solve_equal_measure_weights(poly, moved,
-                                                        tol=1e-12)[0].values)
+                                                        tol=1e-12)[0].weights)
         assert np.abs(permuted - base[perm]).max() < 1e-8
 
     def test_single_site(self):
-        w, _ = solve_equal_measure_weights(SQUARE, ((0.3, 0.7),))
-        assert w.values == (0.0,)
+        pd, _ = solve_equal_measure_weights(SQUARE, ((0.3, 0.7),))
+        assert pd.weights == (0.0,)
 
     @pytest.mark.parametrize("site", [(0.3, 0.7), (3.0, -2.0)])
     @pytest.mark.parametrize("w0", [None, (0.7,)])
     def test_single_site_needs_no_iteration(self, site, w0):
-        w, stats = solve_equal_measure_weights(SQUARE, (site,), w0=w0)
-        assert w.values == (0.0,)
-        assert stats["iterations"] == 0 and stats["residual"] == 0.0
-        assert stats["diagram"].cells == (SQUARE,)
+        pd, iterations = solve_equal_measure_weights(SQUARE, (site,), w0=w0)
+        assert pd.weights == (0.0,)
+        assert iterations == 0 and support.area_residual(pd) == 0.0
+        assert pd.cells == (SQUARE,)
 
     def test_single_site_checks_w0_length(self):
         with pytest.raises(ValueError, match="one entry per site"):
@@ -198,8 +198,8 @@ class TestSolve:
     def test_rescues_far_site(self):
         # one site far in a corner still ends with equal areas
         sites = ((0.01, 0.01), (0.6, 0.55), (0.55, 0.6))
-        w, _ = solve_equal_measure_weights(SQUARE, sites, tol=1e-10)
-        pd = power_diagram(SQUARE, sites, w)
+        solved, _ = solve_equal_measure_weights(SQUARE, sites, tol=1e-10)
+        pd = power_diagram(SQUARE, sites, solved.weights)
         assert np.abs(np.array(pd.areas) - 1 / 3).max() <= 1e-9
 
     @pytest.mark.parametrize("sites", [
@@ -209,8 +209,8 @@ class TestSolve:
     ])
     def test_sites_outside_converge(self, sites):
         # every site outside the triangle, most cells empty unweighted
-        w, _ = solve_equal_measure_weights(RIGHT_TRIANGLE, sites, tol=1e-10)
-        areas = np.array(power_diagram(RIGHT_TRIANGLE, sites, w).areas)
+        solved, _ = solve_equal_measure_weights(RIGHT_TRIANGLE, sites, tol=1e-10)
+        areas = np.array(power_diagram(RIGHT_TRIANGLE, sites, solved.weights).areas)
         assert np.abs(areas - 0.5 / len(sites)).max() <= 1e-9
 
     def test_seed_is_voronoi_of_pulled_sites(self):
@@ -238,12 +238,12 @@ class TestSolve:
         for _ in range(4):
             poly = support.random_convex_polygon(rng)
             sites = support.random_sites_inside(rng, poly, 5)
-            base = np.array(solve_equal_measure_weights(poly, sites, tol=tol)[0].values)
+            base = np.array(solve_equal_measure_weights(poly, sites, tol=tol)[0].weights)
             w0 = np.zeros(5)
             w0[0] = -10.0 * poly.area
             assert power_diagram(poly, sites, w0).cells[0] is None
-            w, _ = solve_equal_measure_weights(poly, sites, tol=tol, w0=tuple(w0))
-            assert np.abs(np.array(w.values) - base).max() <= 10 * tol
+            pd, _ = solve_equal_measure_weights(poly, sites, tol=tol, w0=tuple(w0))
+            assert np.abs(np.array(pd.weights) - base).max() <= 10 * tol
 
     def test_nonconvergence_reports_best(self):
         # a two-cell instance converges in one exact Newton step, so use five
@@ -254,11 +254,10 @@ class TestSolve:
         with pytest.raises(WeightSolveError) as info:
             solve_equal_measure_weights(poly, sites, tol=1e-30, max_iter=3)
         err = info.value
-        assert err.weights is not None
-        assert len(err.weights) == 5
+        assert len(err.diagram.weights) == 5
         assert err.iterations <= 3
-        assert err.residual is not None and err.residual > 0
-        assert err.diagram == power_diagram(poly, sites, err.weights)
+        assert support.area_residual(err.diagram) > 0
+        assert err.diagram == power_diagram(poly, sites, err.diagram.weights)
 
     def test_line_search_stall_reports_last_iterate(self):
         # an impossible tolerance: once the residual is at rounding level no
@@ -268,8 +267,8 @@ class TestSolve:
             solve_equal_measure_weights(SQUARE, sites, tol=1e-30)
         err = info.value
         assert str(err).startswith("line search stalled")
-        assert err.residual > 0
-        assert power_diagram(SQUARE, sites, err.weights) == err.diagram
+        assert support.area_residual(err.diagram) > 0
+        assert power_diagram(SQUARE, sites, err.diagram.weights) == err.diagram
 
     def test_singular_newton_system_reports_last_iterate(self, monkeypatch):
         # a wall graph in two components leaves J + 11^T/n singular; this one
@@ -283,9 +282,9 @@ class TestSolve:
         err = info.value
         assert str(err).startswith("singular area Jacobian")
         assert err.iterations == 1
-        assert err.weights == (0.0,) * 4
-        assert err.residual > 0
-        assert power_diagram(SQUARE, sites, err.weights) == err.diagram
+        assert err.diagram.weights == (0.0,) * 4
+        assert support.area_residual(err.diagram) > 0
+        assert power_diagram(SQUARE, sites, err.diagram.weights) == err.diagram
 
     def test_coincident_sites_rejected(self):
         with pytest.raises(ValueError):
@@ -297,23 +296,26 @@ class TestSolve:
         with pytest.raises(ValueError, match="7.07e[+]149 polygon diameters"):
             solve_equal_measure_weights(SQUARE, ((0.2, 0.2), (1e150, 0.3)))
 
-    def test_stats(self):
-        w, stats = solve_equal_measure_weights(
+    def test_iterations_and_residual(self):
+        pd, iterations = solve_equal_measure_weights(
             SQUARE, ((0.25, 0.5), (0.6, 0.5)))
-        assert stats["iterations"] >= 1
-        assert stats["residual"] <= 1e-10
-        assert w.values[0] == pytest.approx(0.02625, abs=1e-8)
+        assert iterations >= 1
+        assert support.area_residual(pd) <= 1e-10
+        assert pd.weights[0] == pytest.approx(0.02625, abs=1e-8)
 
-    def test_stats_diagram_is_the_solved_diagram(self):
-        # the returned weights rebuild the returned diagram bit for bit: from
-        # zero, from w0, through the Voronoi seed and for a single site
+    def test_returned_diagram_rebuilds_from_its_weights(self):
+        # the diagram's weights rebuild it bit for bit, and they sum to zero
+        # within the bound the solve's centring keeps: from zero, from w0,
+        # through the Voronoi seed and for a single site
         inside = ((0.2, 0.3), (0.7, 0.2), (0.5, 0.8))
         half_outside = ((0.2, 0.3), (3.0, 0.2), (0.5, 3.0), (0.4, 0.6))
         assert None in power_diagram(SQUARE, half_outside).cells
         for sites, w0 in ((inside, None), (inside, (0.3, -0.1, 0.05)),
                           (half_outside, None), (((0.3, 0.7),), None)):
-            w, stats = solve_equal_measure_weights(SQUARE, sites, w0=w0)
-            assert power_diagram(SQUARE, sites, w) == stats["diagram"]
+            pd, _ = solve_equal_measure_weights(SQUARE, sites, w0=w0)
+            assert power_diagram(SQUARE, sites, pd.weights) == pd
+            scale = 1.0 + max(abs(v) for v in pd.weights)
+            assert abs(sum(pd.weights)) <= 1e-9 * len(sites) * scale
 
 
 class TestNewtonStep:
