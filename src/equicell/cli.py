@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import jsonio
 from .equalize import EqualizeError, equalize_perimeters
-from .geometry import AREA_EPS, ConvexPolygon, check_finite_extent, polygon_area
+from .geometry import (AREA_EPS, ConvexPolygon, check_finite_extent, polygon_area,
+                       relative_to_first)
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
@@ -164,7 +165,7 @@ def _load_polygon(data) -> ConvexPolygon:
             or any(not isinstance(v, list) or len(v) != 2 for v in verts)):
         raise ValueError("polygon must be a list of [x, y] pairs")
     pts = [(_number(x), _number(y)) for x, y in verts]
-    if polygon_area(pts) < 0:
+    if polygon_area(relative_to_first(pts)) < 0:
         pts.reverse()
     polygon = ConvexPolygon(tuple(pts))
     check_finite_extent(polygon)
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=KIND_COMPLEMENT)
     pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.add_argument("--budget", type=int, default=None,
-                    help="label budget (or set EQUICELL_BUDGET)")
+                    help="budget on labels and covers (or set EQUICELL_BUDGET)")
     pc.add_argument("--output", default=None)
     pc.set_defaults(func=cmd_complex)
 
@@ -323,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--d", type=int, default=2)
     po.add_argument("--verify", action="store_true",
                     help="re-check incidences and the coboundary on the complex")
-    po.add_argument("--budget", type=int, default=None)
+    po.add_argument("--budget", type=int, default=None,
+                    help="budget on trial divisions, witness entries and, with"
+                         " --verify, ridge row entries (or set EQUICELL_BUDGET)")
     po.add_argument("--output", default=None)
     po.set_defaults(func=cmd_obstruction)
 

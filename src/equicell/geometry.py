@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 
 AREA_EPS = 1e-15    # clip results with less area than this count as empty
@@ -17,6 +18,14 @@ def polygon_area(pts) -> float:
         x1, y1 = pts[(i + 1) % m]
         s += x0 * y1 - x1 * y0
     return 0.5 * s
+
+
+def relative_to_first(pts) -> list[tuple[float, float]]:
+    """The points less the first one.  Shoelace sums and the squared
+    coordinates of a power-diagram build are taken in this frame, so their
+    rounding follows the polygon's size, not its distance from the origin."""
+    ox, oy = pts[0]
+    return [(x - ox, y - oy) for x, y in pts]
 
 
 def polygon_perimeter(pts) -> float:
@@ -77,24 +86,29 @@ class ConvexPolygon:
         pts, _ = _merge_close(pts, [None] * len(pts))
         if len(pts) < 3:
             raise ValueError("need at least 3 distinct vertices")
-        area = polygon_area(pts)
-        if area <= AREA_EPS:
+        local = relative_to_first(pts)
+        if polygon_area(local) <= AREA_EPS:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        scale = max(max(abs(x), abs(y)) for x, y in pts) + 1.0
+        scale = max(max(abs(x), abs(y)) for x, y in local) + 1.0
         tol = 1e-9 * scale * scale
-        m = len(pts)
+        m = len(local)
         for i in range(m):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % m]
-            cx, cy = pts[(i + 2) % m]
+            ax, ay = local[i]
+            bx, by = local[(i + 1) % m]
+            cx, cy = local[(i + 2) % m]
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < -tol:
                 raise ValueError("vertices are not convex at index %d" % ((i + 1) % m))
         object.__setattr__(self, "vertices", tuple(pts))
 
+    @cached_property
+    def local(self) -> tuple[tuple[float, float], ...]:
+        """The vertices relative to the first (see relative_to_first)."""
+        return tuple(relative_to_first(self.vertices))
+
     @property
     def area(self) -> float:
-        return polygon_area(self.vertices)
+        return polygon_area(self.local)
 
     @property
     def perimeter(self) -> float:
@@ -104,15 +118,17 @@ class ConvexPolygon:
     def centroid(self) -> tuple[float, float]:
         a2 = 0.0
         cx = cy = 0.0
-        m = len(self.vertices)
+        pts = self.local
+        m = len(pts)
         for i in range(m):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % m]
+            x0, y0 = pts[i]
+            x1, y1 = pts[(i + 1) % m]
             w = x0 * y1 - x1 * y0
             a2 += w
             cx += (x0 + x1) * w
             cy += (y0 + y1) * w
-        return (cx / (3.0 * a2), cy / (3.0 * a2))
+        ox, oy = self.vertices[0]
+        return (cx / (3.0 * a2) + ox, cy / (3.0 * a2) + oy)
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:

@@ -5,7 +5,9 @@ that is the half-plane 2 (x_j - x_i) . x <= |x_j|^2 - |x_i|^2 - w_j + w_i, so
 each cell is an intersection of half-planes with the polygon and is computed
 by iterated clipping against the other sites in turn.  Only weight
 differences matter; shifting all weights by a constant leaves every cell
-unchanged.
+unchanged.  A build works relative to the polygon's first vertex, where x
+and |x|^2 below are taken (see geometry.relative_to_first), and moves the
+cells back.
 
 Most of those clips leave the cell as it is, and the build skips the ones
 that provably do.  Write d = |x_j - x_i| and let R bound the distance from x_i
@@ -149,13 +151,14 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     decomposition only sees differences).
     """
     sts = _as_site_tuple(sites)
-    pts = sts.points
-    m = len(pts)
+    m = len(sts)
     wvals = (0.0,) * m if weights is None else tuple(float(v) for v in weights)
     if len(wvals) != m:
         raise ValueError("need one weight per site")
 
-    base_pts = list(polygon.vertices)
+    ox, oy = polygon.vertices[0]
+    pts = [(x - ox, y - oy) for x, y in sts.points]
+    base_pts = polygon.local
     base_tags = [-(e + 1) for e in range(len(base_pts))]
 
     cells = []
@@ -182,7 +185,8 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
                 if not cpts:
                     break
         # an empty cell has no edges, area 0.0, perimeter 0.0 and no walls
-        cells.append(_clipped_polygon(cpts) if cpts else None)
+        cells.append(_clipped_polygon([(x + ox, y + oy) for x, y in cpts])
+                     if cpts else None)
         areas.append(polygon_area(cpts))
         # one pass over the edges: the perimeter as polygon_perimeter sums
         # it, and the wall lengths by neighbour

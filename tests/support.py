@@ -338,11 +338,14 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     functions.  order and reach are cell i's row of
     powerdiagram._reach_rows, start is the polygon with its edge tags,
     r(points) is the largest distance from site i to a point, and
-    halfplane(j) gives the (a, c) that the build clips with against site j."""
+    halfplane(j) gives the (a, c) that the build clips with against site j.
+    Like the build, it clips in the frame of the polygon's first vertex and
+    moves the cells back."""
     sts = _as_site_tuple(sites)
-    pts = sts.points
+    ox, oy = polygon.vertices[0]
+    pts = [(x - ox, y - oy) for x, y in sts.points]
     wvals = (0.0,) * len(pts) if weights is None else tuple(float(v) for v in weights)
-    start = (list(polygon.vertices), [-(e + 1) for e in range(len(polygon.vertices))])
+    start = (list(polygon.local), [-(e + 1) for e in range(len(polygon.vertices))])
 
     cells = []
     areas = []
@@ -367,7 +370,7 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
             perims.append(0.0)
             interfaces.append(())
             continue
-        cells.append(ConvexPolygon(tuple(cpts)))
+        cells.append(ConvexPolygon(tuple((x + ox, y + oy) for x, y in cpts)))
         areas.append(polygon_area(cpts))
         perims.append(polygon_perimeter(cpts))
         shared: dict[int, float] = {}

@@ -457,6 +457,21 @@ class TestEquipart:
         res = run_cli("equipart", "--input", fixture)
         assert res.returncode == 0
 
+    def test_far_clockwise_polygon_accepted(self, tmp_path):
+        # at 1e8 the absolute shoelace sum carries errors above the unit
+        # area; relative to the first vertex its sign is right
+        far = [[x + 1e8, y + 1e8] for x, y in reversed(SQUARE)]
+        fixture = write_json(tmp_path / "in.json",
+                             {"mode": "weights", "polygon": far,
+                              "sites": [[x + 1e8, y + 1e8] for x, y in
+                                        ((0.25, 0.5), (0.6, 0.5))]})
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", fixture, "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        assert doc["areas"] == pytest.approx([0.5, 0.5], abs=1e-9)
+        assert doc["weights"][0] == pytest.approx(0.02625, abs=1e-6)
+
     def test_missing_mode_is_input_error(self, tmp_path):
         out = tmp_path / "out.json"
         fixture = write_json(tmp_path / "in.json", {"polygon": SQUARE})

@@ -7,7 +7,7 @@ import pytest
 
 import support
 from equicell import (ConvexPolygon, Sites, WeightSolveError, area_jacobian,
-                      power_diagram, solve_equal_measure_weights)
+                      equalize_perimeters, power_diagram, solve_equal_measure_weights)
 from equicell import weights as weight_solver
 from equicell.weights import _voronoi_seed
 
@@ -383,3 +383,53 @@ class TestNewtonStep:
         sites = support.random_sites_inside(rng, SQUARE, 5) + near
         cond = self.check(monkeypatch, SQUARE, sites, lambda cond: 1e-12 * cond)
         assert cond > 1e5
+
+
+class TestTranslatedPolygon:
+    """Builds, areas and centroids are taken relative to the polygon's first
+    vertex, so a polygon far from the origin solves as it does at the
+    origin.  In absolute coordinates the squared norms of a build carry an
+    error of about offset * ulp(offset), which stalled these solves (at
+    residual 5e-9 for offset 1e4 and 4e-5 for 1e6) and left equalize with no
+    equal-area diagram at offset 1e3."""
+
+    OFFSETS = [1e3, 1e4, 1e6]
+    PENTAGON = ((0.0, 0.0), (1.8, 0.1), (2.2, 1.0), (1.0, 1.9), (-0.3, 1.1))
+
+    @staticmethod
+    def moved(points, offset):
+        return tuple((x + offset, y - offset) for x, y in points)
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_weight_solves_converge(self, offset):
+        pentagon = ConvexPolygon(self.PENTAGON)
+        sites = support.jittered_grid_sites(np.random.default_rng(5), pentagon, 300)
+        for poly, pts in ((SQUARE, ((0.2, 0.3), (0.7, 0.4), (0.5, 0.8))),
+                          (pentagon, sites)):
+            far = ConvexPolygon(self.moved(poly.vertices, offset))
+            pd, _ = solve_equal_measure_weights(far, self.moved(pts, offset),
+                                                tol=1e-10)
+            assert support.area_residual(pd) <= 1e-10
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_equalize_converges(self, offset):
+        res = equalize_perimeters(ConvexPolygon(self.moved(SQUARE.vertices, offset)),
+                                  3, tol=1e-6, max_evals=200)
+        assert res.converged and support.area_residual(res.diagram) <= 1e-11
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_areas_match_the_untranslated_diagram(self, offset):
+        # in the first vertex's frame each translated coordinate is the
+        # untranslated one moved by at most ulp(offset) (one rounding of
+        # x + offset, then an exact difference), so every cell boundary moves
+        # by a few ulp(offset) and an area by that times the perimeter
+        rng = np.random.default_rng(41)
+        for n in (3, 20, 100):
+            poly = support.random_convex_polygon(rng)
+            sites = support.random_sites_inside(rng, poly, n)
+            near, _ = solve_equal_measure_weights(poly, sites)
+            far = power_diagram(ConvexPolygon(self.moved(poly.vertices, offset)),
+                                self.moved(sites, offset), near.weights)
+            bound = 4.0 * np.spacing(offset) * poly.perimeter
+            assert np.abs(np.subtract(far.areas, near.areas)).max() <= bound
+            assert far.polygon.area == pytest.approx(poly.area, abs=bound)
