@@ -22,15 +22,14 @@ from pathlib import Path
 
 from . import jsonio
 from .equalize import EqualizeError, equalize_perimeters
-from .geometry import (AREA_EPS, ConvexPolygon, check_finite_extent, polygon_area,
-                       relative_to_first)
+from .geometry import AREA_EPS, ConvexPolygon, polygon_area, relative_to_first
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
 from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION, charge,
                     enumerate_cells, euler_characteristic, f_vector, poset_csv_chunks,
                     poset_json_chunks)
-from .powerdiagram import Sites, perimeter_spread
+from .powerdiagram import perimeter_spread
 from .svgout import render_power_diagram_svg
 from .weights import WeightSolveError, solve_equal_measure_weights
 
@@ -167,9 +166,7 @@ def _load_polygon(data) -> ConvexPolygon:
     pts = [(_number(x), _number(y)) for x, y in verts]
     if polygon_area(relative_to_first(pts)) < 0:
         pts.reverse()
-    polygon = ConvexPolygon(tuple(pts))
-    check_finite_extent(polygon)
-    return polygon
+    return ConvexPolygon(tuple(pts))
 
 
 def _diagram_payload(diag, spread, iterations, converged) -> dict:
@@ -244,16 +241,12 @@ def cmd_equipart(args) -> int:
 
     if mode == "weights":
         try:
-            sites = Sites(tuple((_number(x), _number(y)) for x, y in raw))
-            check_finite_extent(polygon, sites.points)
-        except (ValueError, TypeError, OverflowError) as e:
-            return _fail("bad sites: %s" % e, EXIT_INPUT)
-        try:
+            sites = tuple((_number(x), _number(y)) for x, y in raw)
             diag, iters = solve_equal_measure_weights(polygon, sites, tol=tol)
             converged = True
         except WeightSolveError as e:
             diag, iters, converged = e.diagram, e.iterations, False
-        except ValueError as e:  # even the seed leaves a cell empty
+        except (ValueError, TypeError, OverflowError) as e:
             return _fail("bad sites: %s" % e, EXIT_INPUT)
         # every diagram the solve returns or raises with has every cell nonempty
         payload = _diagram_payload(diag, perimeter_spread(diag), iters, converged)

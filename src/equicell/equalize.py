@@ -28,7 +28,7 @@ from itertools import count
 
 import numpy as np
 
-from .geometry import ConvexPolygon, check_finite_extent
+from .geometry import ConvexPolygon
 from .powerdiagram import PowerDiagram, Sites, perimeter_spread
 from .weights import WeightSolveError, solve_equal_measure_weights
 
@@ -78,7 +78,6 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    check_finite_extent(polygon)
     bb = polygon.bbox
     diam = ((bb[2] - bb[0]) ** 2 + (bb[3] - bb[1]) ** 2) ** 0.5
     h = 1e-7 * diam

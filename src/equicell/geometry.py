@@ -7,7 +7,7 @@ from math import isfinite
 
 AREA_EPS = 1e-15    # clip results with less area than this count as empty
 MERGE_EPS = 1e-12   # consecutive vertices closer than this are merged
-EXTENT_HEADROOM = 1024.0   # factor below overflow kept by check_finite_extent
+EXTENT_HEADROOM = 1024.0   # factor below overflow kept by extent_overflows
 
 
 def polygon_area(pts) -> float:
@@ -59,15 +59,14 @@ def _merge_close(pts, tags, eps=MERGE_EPS):
     return keep_pts, keep_tags
 
 
-def check_finite_extent(polygon, sites=()) -> None:
-    """ValueError unless the box around the origin, the polygon and the sites
-    has a squared diagonal EXTENT_HEADROOM times below overflow.  Then the
-    polygon's area and perimeter, and every sum of squared coordinates and
-    weights that a power-diagram build forms, stay finite."""
-    xs, ys = zip((0.0, 0.0), *polygon.vertices, *sites)
+def extent_overflows(pts) -> bool:
+    """Whether the box around pts has a squared diagonal less than
+    EXTENT_HEADROOM times below overflow.  Inside a box that passes, areas,
+    perimeters and every sum of squared coordinates and weights that a
+    power-diagram build forms stay finite."""
+    xs, ys = zip(*pts)
     dx, dy = max(xs) - min(xs), max(ys) - min(ys)
-    if not isfinite(EXTENT_HEADROOM * (dx * dx + dy * dy)):
-        raise ValueError("extent of the input overflows")
+    return not isfinite(EXTENT_HEADROOM * (dx * dx + dy * dy))
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,8 @@ class ConvexPolygon:
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < -tol:
                 raise ValueError("vertices are not convex at index %d" % ((i + 1) % m))
+        if extent_overflows(local):
+            raise ValueError("extent of the input overflows")
         object.__setattr__(self, "vertices", tuple(pts))
 
     @cached_property

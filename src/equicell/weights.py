@@ -31,9 +31,11 @@ accepted iterate has every cell nonempty.
 """
 from __future__ import annotations
 
+from math import dist
+
 import numpy as np
 
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, extent_overflows, relative_to_first
 from .powerdiagram import PowerDiagram, _as_site_tuple, power_diagram
 
 
@@ -113,17 +115,18 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
         f = np.array(d.areas) / A
         return d, f
 
-    diag, frac = build(w)
-    if frac.min() <= 0.0:
-        w = _voronoi_seed(polygon, sts)
+    too_far = extent_overflows(relative_to_first(polygon.vertices + sts.points))
+    if not too_far:
         diag, frac = build(w)
         if frac.min() <= 0.0:
-            v = np.array(polygon.vertices)
-            diam = max(np.hypot(*(v - p).T).max() for p in v)
-            far = np.hypot(*(np.array(sts.points) - polygon.centroid).T).max()
-            raise ValueError("the sites reach %.3g polygon diameters from its centroid,"
-                             " too far for doubles to give every cell area"
-                             % (far / diam))
+            w = _voronoi_seed(polygon, sts)
+            diag, frac = build(w)
+            too_far = frac.min() <= 0.0
+    if too_far:
+        diam = max(dist(p, q) for p in polygon.vertices for q in polygon.vertices)
+        far = max(dist(p, polygon.centroid) for p in sts.points)
+        raise ValueError("the sites reach %.3g polygon diameters from its centroid,"
+                         " too far for doubles to give every cell area" % (far / diam))
 
     r = target - frac
     rn = float(np.abs(r).max())
