@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import jsonio
 from .equalize import EqualizeError, equalize_perimeters
-from .geometry import AREA_EPS, ConvexPolygon, polygon_area, relative_to_first
+from .geometry import ConvexPolygon, check_cell_area, polygon_area, relative_to_first
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
@@ -233,11 +233,9 @@ def cmd_equipart(args) -> int:
             if mode == "equalize":  # one solve per Jacobian column of 2n - 3
                 charge(limit, task, "site pairs per Gauss-Newton step",
                        nparts * (nparts - 1) * (2 * nparts - 3))
+        check_cell_area(polygon, nparts)
     except (BudgetExceededError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
-    if polygon.area / nparts <= AREA_EPS:
-        return _fail("each of n=%d cells would have area %.3g, not above AREA_EPS = %g"
-                     % (nparts, polygon.area / nparts, AREA_EPS), EXIT_INPUT)
 
     if mode == "weights":
         try:

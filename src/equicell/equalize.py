@@ -28,7 +28,7 @@ from itertools import count
 
 import numpy as np
 
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, check_cell_area
 from .powerdiagram import PowerDiagram, Sites, perimeter_spread
 from .weights import WeightSolveError, solve_equal_measure_weights
 
@@ -74,10 +74,15 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     included, and the spread of that diagram.  When no configuration reaches
     tol within the budget, the best one found is returned with
     converged = False.  EqualizeError means no configuration had an
-    equal-area diagram, ValueError a polygon too large for floats.
+    equal-area diagram, ValueError n < 2 or cells below AREA_EPS
+    (geometry.check_cell_area).  Sites that a step flings too far out for
+    doubles fail their weight solve, a failed evaluation.  Jacobians are
+    differenced with steps of 1e-7 of the polygon's diameter, so the
+    coordinates must resolve that much for the search to converge.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    check_cell_area(polygon, n)
     bb = polygon.bbox
     diam = ((bb[2] - bb[0]) ** 2 + (bb[3] - bb[1]) ** 2) ** 0.5
     h = 1e-7 * diam

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import frexp, isfinite, ldexp
 
 AREA_EPS = 1e-15    # clip results with less area than this count as empty
 MERGE_EPS = 1e-12   # consecutive vertices closer than this are merged
-EXTENT_HEADROOM = 1024.0   # factor below overflow kept by extent_overflows
+EXTENT_HEADROOM = 1024.0   # squared extent kept this far below overflow, in the
+                           # polygon's frame (see extent_overflows)
 
 
 def polygon_area(pts) -> float:
@@ -59,6 +60,14 @@ def _merge_close(pts, tags, eps=MERGE_EPS):
     return keep_pts, keep_tags
 
 
+def check_cell_area(polygon, n: int) -> None:
+    """ValueError unless each of n equal cells of the polygon would have area
+    above AREA_EPS, below which a clip counts as empty."""
+    if polygon.area / n <= AREA_EPS:
+        raise ValueError("each of n=%d cells would have area %.3g, not above"
+                         " AREA_EPS = %g" % (n, polygon.area / n, AREA_EPS))
+
+
 def extent_overflows(pts) -> bool:
     """Whether the box around pts has a squared diagonal less than
     EXTENT_HEADROOM times below overflow.  Inside a box that passes, areas,
@@ -71,7 +80,8 @@ def extent_overflows(pts) -> bool:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices and positive area.
+    """Convex polygon with counterclockwise vertices and positive area, whose
+    extent relative to its first vertex does not overflow (extent_overflows).
 
     Clipping may leave collinear triples of vertices; they are tolerated.
     """
@@ -88,7 +98,7 @@ class ConvexPolygon:
         local = relative_to_first(pts)
         if polygon_area(local) <= AREA_EPS:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        scale = max(max(abs(x), abs(y)) for x, y in local) + 1.0
+        scale = max(max(abs(x), abs(y)) for x, y in local)
         tol = 1e-9 * scale * scale
         m = len(local)
         for i in range(m):
@@ -117,9 +127,12 @@ class ConvexPolygon:
 
     @property
     def centroid(self) -> tuple[float, float]:
+        # the moments are cubic in the coordinates, so they are taken on
+        # local scaled by 2^-k to at most 1 in size, which is exact
+        k = frexp(max(max(abs(x), abs(y)) for x, y in self.local))[1]
+        pts = [(ldexp(x, -k), ldexp(y, -k)) for x, y in self.local]
         a2 = 0.0
         cx = cy = 0.0
-        pts = self.local
         m = len(pts)
         for i in range(m):
             x0, y0 = pts[i]
@@ -129,7 +142,7 @@ class ConvexPolygon:
             cx += (x0 + x1) * w
             cy += (y0 + y1) * w
         ox, oy = self.vertices[0]
-        return (cx / (3.0 * a2) + ox, cy / (3.0 * a2) + oy)
+        return (ldexp(cx / (3.0 * a2), k) + ox, ldexp(cy / (3.0 * a2), k) + oy)
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:

@@ -23,11 +23,14 @@ diagram of the y_i: |x - x_i|^2 - w_i and |x - y_i|^2 / t differ by terms
 that do not depend on i.  Distinct sites inside the polygon own cells of
 positive area, so for any distinct sites the seed has no empty cell (up to
 rounding: sites far outside, or clusters far smaller than the polygon, can
-give cells below AREA_EPS, and then the solve raises ValueError naming the
-site extent).  From there the iteration is the damped Newton method of
-Kitagawa, Merigot and Thibert: a step is halved until every cell keeps at
-least half of min(least share, 1/n) and the residual drops, so every
-accepted iterate has every cell nonempty.
+give cells below AREA_EPS).  Sites whose box with the polygon overflows
+(geometry.extent_overflows, in the polygon's frame) are refused before any
+build, and sites that leave a cell empty even from the seed after it, with
+one ValueError naming the site extent in polygon diameters.  From there
+the iteration is the damped Newton method of Kitagawa, Merigot and
+Thibert: a step is halved until every cell keeps at least half of
+min(least share, 1/n) and the residual drops, so every accepted iterate
+has every cell nonempty.
 """
 from __future__ import annotations
 
@@ -35,7 +38,8 @@ from math import dist
 
 import numpy as np
 
-from .geometry import ConvexPolygon, extent_overflows, relative_to_first
+from .geometry import (ConvexPolygon, check_cell_area, extent_overflows,
+                       relative_to_first)
 from .powerdiagram import PowerDiagram, _as_site_tuple, power_diagram
 
 
@@ -93,13 +97,17 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     seeds land on the same answer.  Returns (diagram, iterations): the
     solved weights are diagram.weights, centered as every iterate is, and
     power_diagram(polygon, sites, diagram.weights) rebuilds the diagram bit
-    for bit.  Raises ValueError when even the seed leaves a cell empty,
-    which doubles cannot avoid for such sites, and WeightSolveError when the
-    Newton system is singular, the line search stalls or the iteration cap
-    is hit; it carries the last diagram and the iteration count.
+    for bit.  Raises ValueError when the sites coincide or are not finite,
+    when the n cells would not each hold more than AREA_EPS
+    (geometry.check_cell_area), and when the sites are too far out for
+    doubles: their box with the polygon overflows, or even the seed leaves a
+    cell empty.  Raises WeightSolveError when the Newton system is singular,
+    the line search stalls or the iteration cap is hit; it carries the last
+    diagram and the iteration count.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
+    check_cell_area(polygon, n)
     A = polygon.area
     target = 1.0 / n
     if w0 is None:

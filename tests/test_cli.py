@@ -538,9 +538,61 @@ class TestEquipart:
     def test_far_site_rejected(self, tmp_path):
         # squared coordinates overflowed in the build, which ended in a
         # traceback
-        self.assert_input_error(tmp_path, json.dumps(
+        res = self.assert_input_error(tmp_path, json.dumps(
             {"mode": "weights", "polygon": SQUARE,
              "sites": [[0.2, 0.2], [1e160, 0.3]]}))
+        assert res.stderr == ("error: bad sites: the sites reach 7.07e+159 polygon"
+                              " diameters from its centroid, too far for doubles"
+                              " to give every cell area\n")
+
+    @pytest.mark.parametrize("sites", [
+        [[1e155, 1e155], [-1e155, 1e155], [1e155, -1e155]],
+        [[1e200, 1e200], [-1e200, -1e200], [0.5, 0.5]],
+        [[0.2, 0.2], [1.7e308, 0.3], [-1.7e308, 0.3]],
+    ])
+    def test_far_sites_refused_in_one_line(self, tmp_path, sites):
+        # every site layout beyond the extent bound meets the weight solve's
+        # one refusal: one stderr line, no numpy warning, nothing written
+        res = self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": SQUARE, "sites": sites}))
+        assert res.stderr.startswith("error: bad sites: the sites reach ")
+        assert res.stderr.endswith(" polygon diameters from its centroid,"
+                                   " too far for doubles to give every cell area\n")
+        res = run_cli("equipart", "--input", str(tmp_path / "in.json"), timeout=60)
+        assert res.returncode == 2 and res.stdout == ""
+
+    def test_far_small_polygon_solves(self, tmp_path):
+        # a triangle of side 1e140 at (1e153, 1e153) used to be refused,
+        # because the origin was put in the extent box
+        o, a = 1e153, 1e140
+        fixture = write_json(tmp_path / "in.json", {
+            "mode": "weights", "polygon": [[o, o], [o + a, o], [o, o + a]],
+            "sites": [[o + a * x, o + a * y] for x, y in ((0.2, 0.2), (0.5, 0.3))]})
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", fixture, "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert json.loads(out.read_text())["converged"] is True
+
+    def test_tiny_nonconvex_polygon_rejected(self, tmp_path):
+        # the convexity tolerance used to stop scaling below unit size, and
+        # this arrow of size 1e-5 got a "partition"
+        s = 1e-5
+        res = self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "sites": [[0.2 * s, 0.2 * s], [0.8 * s, 0.6 * s]],
+             "polygon": [[0, 0], [s, 0], [s, s], [0.5 * s, 0.3 * s], [0, s]]}))
+        assert res.stderr == "error: bad polygon: vertices are not convex at index 3\n"
+
+    def test_huge_polygon_equalizes(self, tmp_path):
+        # the centroid overflowed above about 1e102 across, so the search drew
+        # infinite sites and exited 1 after 40000 weight solves
+        fixture = write_json(tmp_path / "in.json", {
+            "mode": "equalize", "n": 3, "polygon": [[0, 0], [1e103, 0], [0, 1e103]]})
+        out = tmp_path / "out.json"
+        res = run_cli("equipart", "--input", fixture, "--output", str(out),
+                      "--tol", "1e97", timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(out.read_text())["converged"] is True
 
     @pytest.mark.parametrize("far", [1e150, 4e152])
     def test_far_site_inside_the_bound_ends_cleanly(self, tmp_path, far):

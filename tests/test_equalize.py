@@ -94,6 +94,24 @@ class TestSearchEnds:
             ConvexPolygon(((0.0, 0.0), (1e200, 0.0), (0.0, 1e200)))
 
 
+    def test_cells_below_the_area_floor_rejected_at_once(self):
+        # this search used to run all 40000 weight solves (about 11 s), each
+        # of which failed, and then raise EqualizeError
+        tiny = ConvexPolygon(((0.0, 0.0), (5e-8, 0.0), (5e-8, 5e-8), (0.0, 5e-8)))
+        with pytest.raises(ValueError, match=r"^each of n=3 cells would have area"
+                                             r" 8.33e-16, not above AREA_EPS"):
+            equalize_perimeters(tiny, 3)
+
+    def test_huge_polygon_converges(self):
+        # the centroid of a triangle of side 1e103 used to overflow, so every
+        # start drew infinite sites and no solve had an equal-area diagram
+        side = 1e103
+        tri = ConvexPolygon(((0.0, 0.0), (side, 0.0), (0.0, side)))
+        res = equalize_perimeters(tri, 3, tol=1e97)
+        assert res.converged
+        assert np.abs(np.array(res.diagram.areas) - tri.area / 3).max() <= 1e-9 * tri.area
+
+
 class TestGauge:
     def test_difference_basis_avoids_the_gauge(self):
         x = np.array([(0.4, 0.3), (1.5, 0.4), (0.9, 0.8), (0.2, 0.1)])

@@ -5,7 +5,8 @@ import pytest
 
 import support
 from equicell import ConvexPolygon
-from equicell.geometry import clip_tagged, polygon_area, polygon_perimeter
+from equicell.geometry import (check_cell_area, clip_tagged, polygon_area,
+                               polygon_perimeter)
 
 SQUARE = support.UNIT_SQUARE
 
@@ -34,6 +35,51 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (2.0, 2.0),
                            (0.0, 2.0)))
+
+    @pytest.mark.parametrize("s", [1e-5, 1e-3, 1.0, 1e5])
+    def test_nonconvex_rejected_at_every_size(self, s):
+        # the convexity tolerance scales with the polygon; it used to stop
+        # scaling below unit size, so this arrow passed at s = 1e-5
+        arrow = ((0.0, 0.0), (s, 0.0), (s, s), (0.5 * s, 0.3 * s), (0.0, s))
+        with pytest.raises(ValueError, match="not convex at index 3"):
+            ConvexPolygon(arrow)
+
+    def test_extent_is_taken_in_the_polygon_frame(self):
+        # a triangle of side 1e140 at (1e153, 1e153): every square a build
+        # forms is of its own size, so it is accepted; it used to be refused
+        # because the origin was put in the box
+        o, a = 1e153, 1e140
+        far = ConvexPolygon(((o, o), (o + a, o), (o, o + a)))
+        side = (o + a) - o   # a to the 2e137 resolution of doubles near o
+        assert far.area == pytest.approx(0.5 * side * side, rel=1e-14)
+        with pytest.raises(ValueError, match="extent of the input overflows"):
+            ConvexPolygon(((o, o), (o + 1e200, o), (o, o + 1e200)))
+        with pytest.raises(ValueError, match="extent of the input overflows"):
+            ConvexPolygon(((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize("side", [1e103, 1e150])
+    def test_centroid_of_a_huge_polygon(self, side):
+        # the moments are cubic in the coordinates and overflowed above about
+        # 1e102 across; scaling by a power of two keeps them finite
+        tri = ConvexPolygon(((0.0, 0.0), (side, 0.0), (0.0, side)))
+        assert tri.centroid == pytest.approx((side / 3, side / 3), rel=1e-14)
+
+    def test_centroid_scaling_is_exact(self):
+        # scaling by 2^-k changes no bit: the same sums, unscaled, agree
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-6, 60)
+            poly = support.random_convex_polygon(rng, scale=scale,
+                                                 offset=scale * rng.uniform(-3, 3, 2))
+            ox, oy = poly.vertices[0]
+            pts = poly.local
+            a2 = cx = cy = 0.0
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+                w = x0 * y1 - x1 * y0
+                a2 += w
+                cx += (x0 + x1) * w
+                cy += (y0 + y1) * w
+            assert poly.centroid == (cx / (3.0 * a2) + ox, cy / (3.0 * a2) + oy)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_rejected(self, bad):
@@ -64,6 +110,17 @@ class TestConvexPolygon:
         assert polygon_area(verts) == pytest.approx(SQUARE.area, abs=1e-15)
         assert polygon_perimeter(verts) == pytest.approx(SQUARE.perimeter,
                                                          abs=1e-15)
+
+
+class TestCellAreaFloor:
+    def test_cells_below_area_eps_rejected(self):
+        # 20 cells of a square of side 1e-7 would each hold 5e-16
+        tiny = ConvexPolygon(((0.0, 0.0), (1e-7, 0.0), (1e-7, 1e-7), (0.0, 1e-7)))
+        with pytest.raises(ValueError) as info:
+            check_cell_area(tiny, 20)
+        assert str(info.value) == ("each of n=20 cells would have area 5e-16,"
+                                   " not above AREA_EPS = 1e-15")
+        check_cell_area(tiny, 5)
 
 
 def clip(poly, a, c):

@@ -1,6 +1,7 @@
 """Tests for the area Jacobian and the equal-area weight solver."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,37 @@ class TestSolve:
         # start in doubles gives both cells area
         with pytest.raises(ValueError, match="7.07e[+]149 polygon diameters"):
             solve_equal_measure_weights(SQUARE, ((0.2, 0.2), (1e150, 0.3)))
+
+    @pytest.mark.parametrize("far", [1e155, 1e160, 1e200, 1.7e308])
+    @pytest.mark.parametrize("layout", ["single", "opposite", "all"])
+    def test_sites_beyond_the_extent_bound_rejected(self, far, layout):
+        # one refusal, one message, and no numpy warning on the way
+        sites = {"single": ((0.2, 0.2), (far, 0.3)),
+                 "opposite": ((far, far), (-far, -far), (0.5, 0.5)),
+                 "all": ((far, far), (-far, far), (far, -far))}[layout]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="polygon diameters from its centroid"):
+                solve_equal_measure_weights(SQUARE, sites)
+
+    def test_far_small_polygon_solves(self):
+        # a triangle of side 1e140 at (1e153, 1e153): the extent bound is
+        # taken in the polygon's frame, so its sites are not refused
+        o, a = 1e153, 1e140
+        tri = ConvexPolygon(((o, o), (o + a, o), (o, o + a)))
+        sites = tuple((o + a * x, o + a * y) for x, y in
+                      ((0.2, 0.2), (0.5, 0.3), (0.1, 0.6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pd, _ = solve_equal_measure_weights(tri, sites)
+        assert support.area_residual(pd) <= 1e-10
+
+    def test_cells_below_the_area_floor_rejected(self):
+        # the same refusal and text as the CLI's, before any build
+        tiny = ConvexPolygon(((0.0, 0.0), (5e-8, 0.0), (5e-8, 5e-8), (0.0, 5e-8)))
+        with pytest.raises(ValueError, match=r"^each of n=3 cells would have area"
+                                             r" 8.33e-16, not above AREA_EPS"):
+            solve_equal_measure_weights(tiny, ((1e-8, 1e-8), (2e-8, 4e-8), (4e-8, 1e-8)))
 
     def test_iterations_and_residual(self):
         pd, iterations = solve_equal_measure_weights(
