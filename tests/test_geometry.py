@@ -5,8 +5,7 @@ import pytest
 
 import support
 from equicell import ConvexPolygon
-from equicell.geometry import (check_cell_area, clip_tagged, polygon_area,
-                               polygon_perimeter)
+from equicell.geometry import clip_tagged, polygon_area, polygon_perimeter
 
 SQUARE = support.UNIT_SQUARE
 
@@ -110,17 +109,6 @@ class TestConvexPolygon:
         assert polygon_area(verts) == pytest.approx(SQUARE.area, abs=1e-15)
         assert polygon_perimeter(verts) == pytest.approx(SQUARE.perimeter,
                                                          abs=1e-15)
-
-
-class TestCellAreaFloor:
-    def test_cells_below_area_eps_rejected(self):
-        # 20 cells of a square of side 1e-7 would each hold 5e-16
-        tiny = ConvexPolygon(((0.0, 0.0), (1e-7, 0.0), (1e-7, 1e-7), (0.0, 1e-7)))
-        with pytest.raises(ValueError) as info:
-            check_cell_area(tiny, 20)
-        assert str(info.value) == ("each of n=20 cells would have area 5e-16,"
-                                   " not above AREA_EPS = 1e-15")
-        check_cell_area(tiny, 5)
 
 
 def clip(poly, a, c):

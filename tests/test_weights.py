@@ -309,18 +309,6 @@ class TestSolve:
             with pytest.raises(ValueError, match="polygon diameters from its centroid"):
                 solve_equal_measure_weights(SQUARE, sites)
 
-    def test_far_small_polygon_solves(self):
-        # a triangle of side 1e140 at (1e153, 1e153): the extent bound is
-        # taken in the polygon's frame, so its sites are not refused
-        o, a = 1e153, 1e140
-        tri = ConvexPolygon(((o, o), (o + a, o), (o, o + a)))
-        sites = tuple((o + a * x, o + a * y) for x, y in
-                      ((0.2, 0.2), (0.5, 0.3), (0.1, 0.6)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pd, _ = solve_equal_measure_weights(tri, sites)
-        assert support.area_residual(pd) <= 1e-10
-
     def test_cells_below_the_area_floor_rejected(self):
         # the same refusal and text as the CLI's, before any build
         tiny = ConvexPolygon(((0.0, 0.0), (5e-8, 0.0), (5e-8, 5e-8), (0.0, 5e-8)))
