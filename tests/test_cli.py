@@ -583,6 +583,18 @@ class TestEquipart:
              "polygon": [[0, 0], [s, 0], [s, s], [0.5 * s, 0.3 * s], [0, s]]}))
         assert res.stderr == "error: bad polygon: vertices are not convex at index 3\n"
 
+    @pytest.mark.parametrize("far", [1e150, 4e152])
+    def test_far_site_inside_the_bound_ends_cleanly(self, tmp_path, far):
+        # 4e152 is just inside the extent bound; even the solve's seed
+        # leaves a cell empty, since doubles cannot place the wall, so the
+        # run names the site extent and writes nothing
+        self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": SQUARE,
+             "sites": [[0.2, 0.2], [far, 0.3]]}))
+        res = run_cli("equipart", "--input", str(tmp_path / "in.json"))
+        assert res.stdout == ""
+        assert "%.3g polygon diameters" % (far / 2 ** 0.5) in res.stderr
+
     def test_non_numeric_tol_rejected(self, tmp_path):
         self.assert_input_error(tmp_path, json.dumps(
             {"mode": "weights", "polygon": SQUARE,
