@@ -9,7 +9,7 @@ from .poset import (BudgetExceededError, DEFAULT_BUDGET, FacePoset,
                     KIND_COMPLEMENT, KIND_STRATIFICATION, charge, enumerate_cells,
                     enumerate_labels, euler_characteristic, f_vector,
                     is_face_complement, is_face_stratification, poset_from_json,
-                    poset_to_json, resolve_budget, validate_covers)
+                    resolve_budget, validate_covers)
 from .obstruction import (ObstructionReport, RidgeOrbitCochain, binomial_gcd,
                           binomial_valuation, coboundary_witness,
                           expected_incidence_row, is_prime_power, obstruction_report,

@@ -207,10 +207,11 @@ def enumerate_labels(d: int, n: int, kind: str = KIND_COMPLEMENT,
 class FacePoset:
     """Graded face poset, held as arrays.
 
-    labels has one row (sigma, seps) per element, in lexicographic order, and
-    dims the element dimensions.  covers is an (M, 2) array of index pairs
-    (lo, hi), sorted, with dim(hi) = dim(lo) + 1 and the lo element a face of
-    the hi element.  `elements` builds the CellLabels on first use.
+    labels has one row (sigma, seps) per element, in lexicographic order;
+    dims holds the dimensions, so np.flatnonzero(dims == k) lists dimension k.
+    covers is an (M, 2) array of index pairs (lo, hi), sorted, with dim(hi) =
+    dim(lo) + 1 and lo a face of hi: covers[covers[:, 1] == i, 0] are the
+    lower covers of element i.  `elements` builds the CellLabels on first use.
     """
 
     kind: str
@@ -237,47 +238,11 @@ class FacePoset:
     def elements(self) -> tuple[CellLabel, ...]:
         return tuple(_cell_labels(self.labels, self.d))
 
-    @cached_property
-    def _index(self) -> dict[CellLabel, int]:
-        return {lab: i for i, lab in enumerate(self.elements)}
-
-    @cached_property
-    def _adjacent(self):
-        # (lower, upper): for each, the other ends of the covers ordered
-        # stably by this end, and where each element's run starts
-        out = []
-        for end in (1, 0):
-            order = np.argsort(self.covers[:, end], kind="stable")
-            starts = np.searchsorted(self.covers[order, end],
-                                     np.arange(len(self.labels) + 1))
-            out.append((self.covers[order, 1 - end], starts))
-        return tuple(out)
-
-    def _adjacent_to(self, side: int, i: int) -> list[int]:
-        i = range(len(self.labels))[i]
-        others, starts = self._adjacent[side]
-        return others[starts[i]:starts[i + 1]].tolist()
-
-    def index(self, label: CellLabel) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError("label %s not in poset" % label) from None
-
-    def elements_of_dim(self, k: int) -> list[int]:
-        return np.flatnonzero(self.dims == k).tolist()
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.dims).tolist())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector()))
-
-    def lower_covers(self, i: int) -> list[int]:
-        return self._adjacent_to(0, i)
-
-    def upper_covers(self, i: int) -> list[int]:
-        return self._adjacent_to(1, i)
 
 
 def gov_rows(rows: np.ndarray) -> np.ndarray:
@@ -460,7 +425,8 @@ def validate_covers(poset: FacePoset) -> None:
     for i in np.flatnonzero(have != want)[:1]:
         raise ValueError(f"element {i} has {have[i]} covers, expected {want[i]}")
     # every path x < y < z through stored covers, as the pair (x, z)
-    ups, starts = poset._adjacent[1]
+    order = np.argsort(lo, kind="stable")
+    ups, starts = hi[order], np.searchsorted(lo[order], np.arange(size + 1))
     steps = starts[hi + 1] - starts[hi]
     first = np.cumsum(steps) - steps
     z = ups[np.repeat(starts[hi] - first, steps) + np.arange(steps.sum())]
@@ -530,11 +496,6 @@ def poset_csv_chunks(poset: FacePoset):
     yield "index,dim,label\n"
     yield from _filled("%d,%d," + "%d<%d " * (n - 1) + "%d", "\n", rows)
     yield "\n"
-
-
-def poset_to_json(poset: FacePoset) -> str:
-    """Serialize a poset deterministically (key order and layout fixed)."""
-    return "".join(poset_json_chunks(poset))
 
 
 def poset_from_json(data) -> FacePoset:

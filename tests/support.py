@@ -124,11 +124,13 @@ def facet_coboundaries(d, n, cochain):
 def facet_incidence_vector(facet, poset):
     """Count boundary ridges of a facet by class, read off the poset covers."""
     n = facet.n
-    i = poset.index(facet)
-    if poset.kind != KIND_COMPLEMENT or poset.dims[i] != (facet.d - 1) * (n - 1):
+    top = np.flatnonzero(poset.dims == (facet.d - 1) * (n - 1))
+    i = top[(poset.labels[top] == facet.sigma + facet.seps).all(axis=1)]
+    if poset.kind != KIND_COMPLEMENT or len(i) != 1:
         raise ValueError("expected a top cell of a cell-kind poset")
     counts = [0] * (n - 1)
-    for lo in poset.lower_covers(i):
+    lower = np.flatnonzero(poset.covers[:, 1] == i[0])
+    for lo in poset.covers[lower, 0].tolist():
         counts[ridge_orbit_index(poset.elements[lo]) - 1] += 1
     return tuple(counts)
 

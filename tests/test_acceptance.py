@@ -70,11 +70,12 @@ def test_criterion_01_cell_counts():
 def test_criterion_02_planar_three_point_complex():
     poset = enumerate_cells(2, 3)
     fv_ok = poset.f_vector() == (6, 12, 6)
-    edges_ok = all(len(poset.upper_covers(i)) == 3
-                   for i in poset.elements_of_dim(1))
+    lo, hi = poset.covers.T
+    uppers = np.bincount(lo, minlength=len(poset.dims))
+    edges_ok = bool((uppers[poset.dims == 1] == 3).all())
     facet = CellLabel.from_bar_string("123")
-    boundary = {poset.elements[j].to_bar_string()
-                for j in poset.lower_covers(poset.index(facet))}
+    i = np.flatnonzero((poset.labels == facet.sigma + facet.seps).all(axis=1))[0]
+    boundary = {poset.elements[j].to_bar_string() for j in lo[hi == i].tolist()}
     want = {"1|23", "13|2", "3|12", "23|1", "2|13", "12|3"}
     ok = fv_ok and edges_ok and boundary == want
     report(2, ok, "f=(6,12,6), each edge in 3 hexagons, boundary of 123 exact")

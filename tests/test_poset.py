@@ -13,14 +13,13 @@ from equicell import (BudgetExceededError, CellLabel,
                       InvalidLabelError, KIND_COMPLEMENT, KIND_STRATIFICATION,
                       enumerate_cells, enumerate_labels, euler_characteristic,
                       f_vector, group_action, is_face_complement,
-                      is_face_stratification, poset_from_json, poset_to_json,
-                      resolve_budget, separator_min, stratum_dimension,
-                      validate_covers)
+                      is_face_stratification, poset_from_json, resolve_budget,
+                      separator_min, stratum_dimension, validate_covers)
 from equicell import poset as poset_module
 from equicell import cli
 from equicell.poset import (_cover_count, _leq, boundary, cond_rows,
                             cover_count, face_matrix, gov_rows,
-                            label_count, poset_csv_chunks)
+                            label_count, poset_csv_chunks, poset_json_chunks)
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -207,19 +206,13 @@ class TestPosetStructure:
             if p.dims[idx[lab]] == 1:
                 assert len(uppers[idx[lab]]) == 3
 
-    def test_elements_of_dim(self):
-        p = enumerate_cells(2, 3)
-        assert len(p.elements_of_dim(0)) == 6
-        assert len(p.elements_of_dim(1)) == 12
-        assert len(p.elements_of_dim(2)) == 6
-
 
 def dense_covers(d, n, kind=KIND_COMPLEMENT):
     """Covers of the poset from the dense face test on adjacent layers."""
     p = enumerate_cells(d, n, kind)
     covers = []
     for k in range(max(p.dims)):
-        los, his = p.elements_of_dim(k), p.elements_of_dim(k + 1)
+        los, his = (np.flatnonzero(p.dims == j).tolist() for j in (k, k + 1))
         mat = face_matrix([p.elements[i] for i in los],
                           [p.elements[i] for i in his], kind)
         covers += [(los[a], his[b]) for a, b in zip(*np.nonzero(mat))]
@@ -271,6 +264,11 @@ def broken(p, covers):
     return replace(p, covers=tuple(covers))
 
 
+def shuffled(covers):
+    """The covering pairs in a fixed random order, no longer sorted."""
+    return np.random.default_rng(7).permutation(np.asarray(covers))
+
+
 def moved_cover(p):
     """The covers of p with one pair moved to a non-face of the same element
     (its lower end for cells, its upper end for strata), so that every count
@@ -278,11 +276,11 @@ def moved_cover(p):
     covers = list(support.as_tuples(p.covers))
     lo, hi = covers[0]
     if p.kind == KIND_COMPLEMENT:
-        other = next(i for i in p.elements_of_dim(p.dims[lo])
+        other = next(i for i in np.flatnonzero(p.dims == p.dims[lo]).tolist()
                      if (i, hi) not in covers)
         covers[0] = (other, hi)
     else:
-        other = next(i for i in p.elements_of_dim(p.dims[hi])
+        other = next(i for i in np.flatnonzero(p.dims == p.dims[hi]).tolist()
                      if (lo, i) not in covers)
         covers[0] = (lo, other)
     return covers
@@ -293,7 +291,9 @@ class TestLocalValidation:
         (2, 5, KIND_COMPLEMENT), (3, 4, KIND_COMPLEMENT), (3, 5, KIND_COMPLEMENT),
         (2, 5, KIND_STRATIFICATION), (1, 6, KIND_STRATIFICATION)])
     def test_passes(self, d, n, kind):
-        validate_covers(enumerate_cells(d, n, kind))
+        p = enumerate_cells(d, n, kind)
+        validate_covers(p)
+        validate_covers(broken(p, shuffled(p.covers)))
 
     def test_cover_count_is_the_number_of_faces(self):
         for d, n, kind in [(3, 4, KIND_COMPLEMENT), (2, 4, KIND_STRATIFICATION)]:
@@ -317,8 +317,9 @@ class TestLocalValidation:
             validate_covers(broken(poset, covers + (extra,)))
 
     def test_rejects_pair_two_dimensions_apart(self, poset):
-        lo, hi = next((lo, hi) for lo, mid in poset.covers
-                      for hi in poset.upper_covers(mid))
+        covers = poset.covers
+        lo, hi = next((lo, hi) for lo, mid in covers.tolist()
+                      for hi in covers[covers[:, 0] == mid, 1].tolist())
         with pytest.raises(ValueError, match="dimension gap"):
             validate_covers(broken(poset, support.as_tuples(poset.covers) + ((lo, hi),)))
 
@@ -328,14 +329,16 @@ class TestLocalValidation:
             validate_covers(broken(poset, covers + covers[:1]))
 
     def test_rejects_moved_cover(self, poset):
-        with pytest.raises(ValueError, match="not a face pair"):
-            validate_covers(broken(poset, moved_cover(poset)))
+        for covers in (moved_cover(poset), shuffled(moved_cover(poset))):
+            with pytest.raises(ValueError, match="not a face pair"):
+                validate_covers(broken(poset, covers))
 
     def test_diamond_catches_what_a_blind_face_test_lets_through(
             self, poset, monkeypatch):
         monkeypatch.setattr(poset_module, "_leq", lambda kind, a, b: True)
-        with pytest.raises(ValueError, match="middle elements"):
-            validate_covers(broken(poset, moved_cover(poset)))
+        for covers in (moved_cover(poset), shuffled(moved_cover(poset))):
+            with pytest.raises(ValueError, match="middle elements"):
+                validate_covers(broken(poset, covers))
 
 
 class TestEquivariance:
@@ -428,7 +431,7 @@ class TestBudget:
 class TestJson:
     def test_schema_and_order(self):
         p = enumerate_cells(2, 3)
-        doc = json.loads(poset_to_json(p))
+        doc = json.loads("".join(poset_json_chunks(p)))
         assert set(doc) == {"d", "n", "kind", "elements", "covers"}
         assert doc["d"] == 2 and doc["n"] == 3 and doc["kind"] == "complement"
         assert len(doc["elements"]) == 24
@@ -441,12 +444,12 @@ class TestJson:
     def test_roundtrip(self):
         for kind in (KIND_COMPLEMENT, KIND_STRATIFICATION):
             p = enumerate_cells(2, 3, kind)
-            q = poset_from_json(poset_to_json(p))
+            q = poset_from_json("".join(poset_json_chunks(p)))
             assert q == p
 
     def test_dims_recorded(self):
         p = enumerate_cells(2, 3)
-        doc = json.loads(poset_to_json(p))
+        doc = json.loads("".join(poset_json_chunks(p)))
         for el, dim in zip(doc["elements"], p.dims):
             assert el["dim"] == dim
 
@@ -498,7 +501,7 @@ class TestColumnar:
                                           (2, 4, KIND_STRATIFICATION)])
     def test_exports_match_the_generic_writers(self, d, n, kind):
         p = enumerate_cells(d, n, kind)
-        text = poset_to_json(p)
+        text = "".join(poset_json_chunks(p))
         assert text == generic_json(p)
         assert poset_from_json(text) == p
         rows = ["%d,%d,%s" % (i, dim, lab.to_string())
@@ -508,22 +511,11 @@ class TestColumnar:
     def test_labels_built_only_on_request(self):
         p = enumerate_cells(2, 4)
         assert p.f_vector() == (24, 72, 72, 24) and p.euler_characteristic() == 0
-        assert p.lower_covers(5) == [1, 4, 12, 49] and p.lower_covers(0) == []
         validate_covers(p)
-        assert "".join(poset_csv_chunks(p)) and poset_to_json(p)
+        assert "".join(poset_csv_chunks(p)) and "".join(poset_json_chunks(p))
         assert "elements" not in vars(p)
         assert len(p.elements) == len(p.labels) == 192
         assert p.elements == tuple(enumerate_labels(2, 4))
-
-    def test_adjacency_matches_covers(self):
-        p = enumerate_cells(2, 4, KIND_STRATIFICATION)
-        pairs = support.as_tuples(p.covers)
-        for i in range(len(p.labels)):
-            assert p.lower_covers(i) == [lo for lo, hi in pairs if hi == i]
-            assert p.upper_covers(i) == [hi for lo, hi in pairs if lo == i]
-        with pytest.raises(IndexError):
-            p.lower_covers(len(p.labels))
-        assert p.upper_covers(-1) == p.upper_covers(len(p.labels) - 1)
 
     @pytest.mark.parametrize("d,n,kind", [(2, 5, KIND_COMPLEMENT), (3, 4, KIND_COMPLEMENT),
                                           (1, 5, KIND_STRATIFICATION),
