@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 
 
 def format_real(x: float) -> str:
@@ -14,14 +13,5 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
-def _number(obj):
-    # numpy scalars that are not Python ints or floats, and other registered numbers
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return float(obj)
-    raise TypeError("cannot serialize %r" % type(obj))
-
-
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False, default=_number) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -25,12 +25,12 @@ positive area, so for any distinct sites the seed has no empty cell (up to
 rounding: sites far outside, or clusters far smaller than the polygon, can
 give cells below AREA_EPS).  Sites whose box with the polygon overflows
 (geometry.extent_overflows, in the polygon's frame) are refused before any
-build, and sites that leave a cell empty even from the seed after it, with
-one ValueError naming the site extent in polygon diameters.  From there
-the iteration is the damped Newton method of Kitagawa, Merigot and
-Thibert: a step is halved until every cell keeps at least half of
-min(least share, 1/n) and the residual drops, so every accepted iterate
-has every cell nonempty.
+build, sites whose seed overflows (not finite) before its build, and sites
+that leave a cell empty even from the seed after it, with one ValueError
+naming the site extent in polygon diameters.  From there the iteration is
+the damped Newton method of Kitagawa, Merigot and Thibert: a step is halved
+until every cell keeps at least half of min(least share, 1/n) and the
+residual drops, so every accepted iterate has every cell nonempty.
 """
 from __future__ import annotations
 
@@ -83,7 +83,8 @@ def _voronoi_seed(polygon: ConvexPolygon, sites) -> np.ndarray:
     # half the largest pull keeps the pulled sites clear of the edges
     t = min(1.0, 0.5 * float(pull.min()))
     w = (1.0 - t) * (x * x).sum(axis=1)
-    return w - w.mean()
+    with np.errstate(over="ignore"):   # many far sites: the mean overflows
+        return w - w.mean()
 
 
 def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-10,
@@ -100,10 +101,10 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     for bit.  Raises ValueError when the sites coincide or are not finite,
     when the n cells would not each hold more than AREA_EPS
     (geometry.check_cell_area), and when the sites are too far out for
-    doubles: their box with the polygon overflows, or even the seed leaves a
-    cell empty.  Raises WeightSolveError when the Newton system is singular,
-    the line search stalls or the iteration cap is hit; it carries the last
-    diagram and the iteration count.
+    doubles: their box with the polygon overflows, the seed is not finite,
+    or even the seed leaves a cell empty.  Raises WeightSolveError when the
+    Newton system is singular, the line search stalls or the iteration cap
+    is hit; it carries the last diagram and the iteration count.
     """
     sts = _as_site_tuple(sites)
     n = len(sts)
@@ -128,8 +129,10 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
         diag, frac = build(w)
         if frac.min() <= 0.0:
             w = _voronoi_seed(polygon, sts)
-            diag, frac = build(w)
-            too_far = frac.min() <= 0.0
+            too_far = not np.isfinite(w).all()
+            if not too_far:
+                diag, frac = build(w)
+                too_far = frac.min() <= 0.0
     if too_far:
         diam = max(dist(p, q) for p in polygon.vertices for q in polygon.vertices)
         far = max(dist(p, polygon.centroid) for p in sts.points)

@@ -549,10 +549,12 @@ class TestEquipart:
         [[1e155, 1e155], [-1e155, 1e155], [1e155, -1e155]],
         [[1e200, 1e200], [-1e200, -1e200], [0.5, 0.5]],
         [[0.2, 0.2], [1.7e308, 0.3], [-1.7e308, 0.3]],
+        [[3.9e152, k * 1e140] for k in range(2100)],
     ])
     def test_far_sites_refused_in_one_line(self, tmp_path, sites):
-        # every site layout beyond the extent bound meets the weight solve's
-        # one refusal: one stderr line, no numpy warning, nothing written
+        # every site layout beyond the extent bound, and 2,100 sites inside
+        # it whose seed overflows, meets the weight solve's one refusal: one
+        # stderr line, no numpy warning, nothing written
         res = self.assert_input_error(tmp_path, json.dumps(
             {"mode": "weights", "polygon": SQUARE, "sites": sites}))
         assert res.stderr.startswith("error: bad sites: the sites reach ")

@@ -3,7 +3,6 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 import support
@@ -41,10 +40,6 @@ class TestJsonEncoding:
                 jsonio.format_real(bad)
             with pytest.raises(ValueError):
                 jsonio.dumps({"x": bad})
-
-    def test_numpy_scalars(self):
-        doc = jsonio.dumps({"a": np.float64(0.25), "b": np.int64(7), "c": np.float32(0.5)})
-        assert json.loads(doc) == {"a": 0.25, "b": 7, "c": 0.5}
 
     def test_structure_and_layout(self):
         doc = jsonio.dumps({"b": [1, 2.5, True, None], "a": {"k": "v"}})

@@ -309,6 +309,16 @@ class TestSolve:
             with pytest.raises(ValueError, match="polygon diameters from its centroid"):
                 solve_equal_measure_weights(SQUARE, sites)
 
+    def test_many_far_sites_rejected_without_warning(self):
+        # inside the extent bound, but 2,100 squared distances near max/1024
+        # overflow the seed's mean: the seed is not finite, so the solve
+        # refuses it with the one message
+        sites = [(3.9e152, k * 1e140) for k in range(2100)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="polygon diameters from its centroid"):
+                solve_equal_measure_weights(SQUARE, sites)
+
     def test_cells_below_the_area_floor_rejected(self):
         # the same refusal and text as the CLI's, before any build
         tiny = ConvexPolygon(((0.0, 0.0), (5e-8, 0.0), (5e-8, 5e-8), (0.0, 5e-8)))
