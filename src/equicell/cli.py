@@ -17,12 +17,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from math import factorial, isfinite
+from math import factorial
 from pathlib import Path
 
 from . import jsonio
 from .equalize import EqualizeError, equalize_perimeters
-from .geometry import ConvexPolygon, check_cell_area, polygon_area, relative_to_first
+from .geometry import ConvexPolygon, check_cell_area
 from .labels import fox_neuwirth_label
 from .obstruction import (expected_incidence_row, facet_ridge_class_counts,
                           obstruction_report)
@@ -31,7 +31,7 @@ from .poset import (BudgetExceededError, KIND_COMPLEMENT, KIND_STRATIFICATION, c
                     poset_json_chunks)
 from .powerdiagram import perimeter_spread
 from .svgout import render_power_diagram_svg
-from .weights import WeightSolveError, solve_equal_measure_weights
+from .weights import WeightSolveError, check_tol, solve_equal_measure_weights
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -163,13 +163,11 @@ def _load_polygon(data) -> ConvexPolygon:
     if (not isinstance(verts, list) or len(verts) < 3
             or any(not isinstance(v, list) or len(v) != 2 for v in verts)):
         raise ValueError("polygon must be a list of [x, y] pairs")
-    pts = [(_number(x), _number(y)) for x, y in verts]
-    if polygon_area(relative_to_first(pts)) < 0:
-        pts.reverse()
-    return ConvexPolygon(tuple(pts))
+    return ConvexPolygon(tuple((_number(x), _number(y)) for x, y in verts))
 
 
-def _diagram_payload(diag, spread, iterations, converged) -> dict:
+def _diagram_payload(diag, iterations, converged) -> dict:
+    # every diagram a solve returns or raises with has every cell nonempty
     return {
         "sites": [list(p) for p in diag.sites.points],
         "weights": list(diag.weights),
@@ -177,7 +175,7 @@ def _diagram_payload(diag, spread, iterations, converged) -> dict:
                   for c in diag.cells],
         "areas": list(diag.areas),
         "perimeters": list(diag.perimeters),
-        "spread": spread,
+        "spread": perimeter_spread(diag),
         "iterations": iterations,
         "converged": converged,
     }
@@ -212,8 +210,10 @@ def cmd_equipart(args) -> int:
         return _fail("seed must be a non-negative integer", EXIT_INPUT)
     tol = args.tol if args.tol is not None else data.get(
         "tol", 1e-10 if mode == "weights" else 1e-6)
-    if type(tol) not in (int, float) or not (isfinite(tol) and tol > 0):
-        return _fail("tol must be a positive finite number", EXIT_INPUT)
+    try:
+        check_tol(tol)
+    except ValueError as e:
+        return _fail(str(e), EXIT_INPUT)
 
     if mode == "weights":
         raw = data.get("sites")
@@ -246,18 +246,14 @@ def cmd_equipart(args) -> int:
             diag, iters, converged = e.diagram, e.iterations, False
         except (ValueError, TypeError, OverflowError) as e:
             return _fail("bad sites: %s" % e, EXIT_INPUT)
-        # every diagram the solve returns or raises with has every cell nonempty
-        payload = _diagram_payload(diag, perimeter_spread(diag), iters, converged)
     else:
         try:
             result = equalize_perimeters(polygon, nparts, tol=tol, seed=seed)
         except EqualizeError as e:
             return _fail(str(e), EXIT_CHECK)
-        converged = result.converged
-        payload = _diagram_payload(result.diagram, result.spread,
-                                   result.evaluations, result.converged)
-        diag = result.diagram
+        diag, iters, converged = result.diagram, result.evaluations, result.converged
 
+    payload = _diagram_payload(diag, iters, converged)
     text = jsonio.dumps(payload) if args.format == "json" else _payload_csv(payload)
     _emit(text, args.output)
     if args.svg is not None:
@@ -276,10 +272,7 @@ def cmd_label(args) -> int:
         return _fail("input needs a nonempty 'points' list of coordinate lists",
                      EXIT_INPUT)
     try:
-        cols = tuple(tuple(_number(v) for v in p) for p in pts)
-        if not all(isfinite(v) for col in cols for v in col):
-            raise ValueError("coordinates must be finite numbers")
-        lab = fox_neuwirth_label(cols)
+        lab = fox_neuwirth_label(tuple(tuple(_number(v) for v in p) for p in pts))
     except (ValueError, TypeError, OverflowError) as e:
         return _fail("bad points: %s" % e, EXIT_INPUT)
     print(lab.to_string())

@@ -30,7 +30,7 @@ import numpy as np
 
 from .geometry import ConvexPolygon, check_cell_area
 from .powerdiagram import PowerDiagram, Sites, perimeter_spread
-from .weights import WeightSolveError, solve_equal_measure_weights
+from .weights import WeightSolveError, check_tol, solve_equal_measure_weights
 
 
 class EqualizeError(RuntimeError):
@@ -39,11 +39,10 @@ class EqualizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EqualizeResult:
-    """The best diagram, whose sites and weights are the answer, its spread,
-    the search's weight solves and the start that found the diagram."""
+    """The best diagram, whose sites and weights are the answer, whether its
+    spread reaches tol, the search's weight solves and the start that found it."""
 
     diagram: PowerDiagram
-    spread: float
     converged: bool
     evaluations: int
     start_index: int
@@ -71,15 +70,15 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     Deterministic for fixed arguments.  max_evals bounds the weight solves of
     the search, and evaluations counts them.  The result holds the best
     evaluation's diagram as its weight solve returned it, sites and weights
-    included, and the spread of that diagram.  When no configuration reaches
-    tol within the budget, the best one found is returned with
-    converged = False.  EqualizeError means no configuration had an
-    equal-area diagram, ValueError n < 2 or cells below AREA_EPS
-    (geometry.check_cell_area).  Sites that a step flings too far out for
-    doubles fail their weight solve, a failed evaluation.  Jacobians are
-    differenced with steps of 1e-7 of the polygon's diameter, so the
+    included, with converged = False when none reached tol.  EqualizeError
+    means no configuration had an equal-area diagram; ValueError, raised
+    before any build, a bad tol (weights.check_tol), n < 2 or cells below
+    AREA_EPS (geometry.check_cell_area).  Sites that a step flings too far
+    out for doubles fail their weight solve, a failed evaluation.  Jacobians
+    are differenced with steps of 1e-7 of the polygon's diameter, so the
     coordinates must resolve that much for the search to converge.
     """
+    check_tol(tol)
     if n < 2:
         raise ValueError("need n >= 2")
     check_cell_area(polygon, n)
@@ -145,5 +144,5 @@ def equalize_perimeters(polygon: ConvexPolygon, n: int, tol: float = 1e-6,
     spread, diag, start = best
     if diag is None:
         raise EqualizeError("no equal-area diagram in %d weight solves" % evals)
-    return EqualizeResult(diagram=diag, spread=spread, converged=spread <= tol,
+    return EqualizeResult(diagram=diag, converged=spread <= tol,
                           evaluations=evals, start_index=start)

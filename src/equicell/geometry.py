@@ -80,8 +80,8 @@ def extent_overflows(pts) -> bool:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices and positive area, whose
-    extent relative to its first vertex does not overflow (extent_overflows).
+    """Convex polygon of positive area with counterclockwise vertices (a clockwise
+    list is reversed) whose extent from the first does not overflow (extent_overflows).
 
     Clipping may leave collinear triples of vertices; they are tolerated.
     """
@@ -92,12 +92,14 @@ class ConvexPolygon:
         pts = [(float(x), float(y)) for x, y in self.vertices]
         if not all(isfinite(x) and isfinite(y) for x, y in pts):
             raise ValueError("vertices must be finite")
+        if polygon_area(relative_to_first(pts)) < 0:
+            pts.reverse()
         pts, _ = _merge_close(pts, [None] * len(pts))
         if len(pts) < 3:
             raise ValueError("need at least 3 distinct vertices")
         local = relative_to_first(pts)
         if polygon_area(local) <= AREA_EPS:
-            raise ValueError("vertices must wind counterclockwise with positive area")
+            raise ValueError("vertices must enclose positive area")
         scale = max(max(abs(x), abs(y)) for x, y in local)
         tol = 1e-9 * scale * scale
         m = len(local)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Sequence
 
 
@@ -161,10 +162,10 @@ def group_action(pi: Sequence[int], label: CellLabel) -> CellLabel:
 class Configuration:
     """n labeled points in R^d, stored as n coordinate columns of length d.
 
-    Entries may be floats or Fractions.  Distinctness of the columns is not
-    enforced here: labeled-configuration-space membership requires it, but the
-    labeling map below accepts coincident points and reports them with
-    separator d+1.
+    Entries may be floats or Fractions, but not NaN or infinite.  Distinctness
+    of the columns is not enforced here: labeled-configuration-space membership
+    requires it, but the labeling map below accepts coincident points and
+    reports them with separator d+1.
     """
 
     points: tuple[tuple, ...]
@@ -174,6 +175,9 @@ class Configuration:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("empty configuration")
+        # not math.isfinite, which overflows on a large Fraction
+        if any(v != v or v in (inf, -inf) for col in pts for v in col):
+            raise ValueError("coordinates must be finite numbers")
         d = len(pts[0])
         if d < 1 or any(len(col) != d for col in pts):
             raise ValueError("columns must share a positive length")
@@ -209,8 +213,8 @@ def vertex_coordinates(label: CellLabel) -> Configuration:
     return Configuration(centered)
 
 
-def fox_neuwirth_label(config, d: int | None = None) -> CellLabel:
-    """Label of the stratum containing a configuration.
+def fox_neuwirth_label(config) -> CellLabel:
+    """Label of the stratum containing a Configuration, or its columns.
 
     Columns are compared lexicographically and exactly; `sigma` is the
     resulting order (ties broken by point index, which matches the
@@ -219,8 +223,6 @@ def fox_neuwirth_label(config, d: int | None = None) -> CellLabel:
     """
     if not isinstance(config, Configuration):
         config = Configuration(config)
-    if d is not None and d != config.d:
-        raise InvalidLabelError("configuration has d = %d, expected %d" % (config.d, d))
     cols, n, d = config.points, config.n, config.d
 
     def first_diff(u, v):

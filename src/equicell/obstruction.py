@@ -203,8 +203,7 @@ def facet_ridge_class_counts(d: int, n: int,
     charge(limit, task, "ridge row entries", (2 ** n - 2) * (2 * n - 1))
     identity, top = tuple(range(1, n + 1)), (d,) * (n - 1)
     dtype = np.min_scalar_type(max(n, d + 1))
-    ridges = np.array([places + seps for places, seps in boundary(identity, top)
-                       if sum(seps) == len(seps) * d - 1], dtype=dtype)  # one dim down
+    ridges = np.array([p + s for p, s in boundary(identity, top)], dtype=dtype)
     facet = np.broadcast_to(np.array(identity + top, dtype=dtype), ridges.shape)
     lowered = ridges[:, n:].argmin(axis=1)  # a ridge's class: its one d - 1 separator
     return np.bincount(lowered[_leq(KIND_COMPLEMENT, ridges, facet)], minlength=n - 1)

@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, permutations, product
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -95,20 +95,6 @@ def label_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
     return sum(c * d ** (k - 1) for k, c in enumerate(onto) if k)
 
 
-def cover_count(d: int, n: int, kind: str = KIND_COMPLEMENT) -> int:
-    """Exact cover count: each separator word has `_cover_count(word)` faces
-    per label, and n! / prod((r + 1)!) labels, r over its maximal runs of
-    ties (separator d+1), whose letters must increase."""
-    total = 0
-    for word in product(range(1, _top(d, kind) + 1), repeat=n - 1):
-        labels = factorial(n)
-        for tie, run in groupby(word, key=(d + 1).__eq__):
-            if tie:
-                labels //= factorial(len(list(run)) + 1)
-        total += labels * _cover_count(word)
-    return total
-
-
 def charge(budget: int | None, task: str, unit: str, need: int | None = None) -> int:
     """The budget (see `resolve_budget`), once `need` `unit` fit in it.
     need=None, a count too large to form, never fits; `unit` alone names it."""
@@ -119,9 +105,8 @@ def charge(budget: int | None, task: str, unit: str, need: int | None = None) ->
     return limit
 
 
-def _check_budget(d, n, kind, budget, covers=False):
-    """Refuse unless the labels of (d, n, kind) fit in the budget and, with
-    covers, their covers too."""
+def _check_budget(d, n, kind, budget) -> tuple[int, str]:
+    """The budget and its task text, once the labels of (d, n, kind) fit in it."""
     limit = resolve_budget(budget)
     task = "enumeration of (d=%d, n=%d, %s)" % (d, n, kind)
     # labels >= n! d^(n-1) >= 2^((n-1) bitlen(d)) > budget: refuse unformed
@@ -129,8 +114,7 @@ def _check_budget(d, n, kind, budget, covers=False):
         charge(limit, task, ("" if kind == KIND_COMPLEMENT else "more than ")
                + "n! %d^(n-1) labels" % d)
     charge(limit, task, "labels", label_count(d, n, kind))
-    if covers:
-        charge(limit, task, "covers", cover_count(d, n, kind))
+    return limit, task
 
 
 def _check_args(d, n, kind):
@@ -372,11 +356,13 @@ def enumerate_cells(d: int, n: int, kind: str = KIND_COMPLEMENT,
 
     Both kinds take their covers from `boundary`: the faces it lists are a
     cell's lower covers and a stratum's upper covers (see the module
-    docstring).  The budget bounds the covers as well as the labels.
+    docstring).  The budget bounds the labels and, counted on their grid, the covers.
     """
     _check_args(d, n, kind)
-    _check_budget(d, n, kind, budget, covers=True)
+    limit, task = _check_budget(d, n, kind, budget)
     perms, words, keep = _grid(d, n, kind)
+    charge(limit, task, "covers",
+           int(keep.sum(axis=0) @ [_cover_count(w) for w in map(tuple, words.tolist())]))
     labels = _label_rows(perms, words, keep)
     total = labels[:, n:].sum(axis=1, dtype=np.int64)
     dims = total - (n - 1) if kind == KIND_COMPLEMENT else (d + 1) * (n - 1) - total

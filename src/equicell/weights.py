@@ -34,7 +34,7 @@ residual drops, so every accepted iterate has every cell nonempty.
 """
 from __future__ import annotations
 
-from math import dist
+from math import dist, inf
 
 import numpy as np
 
@@ -87,25 +87,32 @@ def _voronoi_seed(polygon: ConvexPolygon, sites) -> np.ndarray:
         return w - w.mean()
 
 
+def check_tol(tol) -> None:
+    """ValueError unless tol is a positive finite int or float (not a bool)."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < inf:
+        raise ValueError("tol must be a positive finite number")
+
+
 def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-10,
                                 max_iter: int = 10000, w0=None):
     """The diagram whose cells each hold area(polygon)/n, to
     |share - 1/n| <= tol, and the Newton iterations it took.
 
-    tol bounds the infinity norm of the normalized area residual
-    max |1/n - area_i / A|.  w0 seeds the iteration (any float vector; it is
-    recentered); the maximizer itself is unique once centered, so different
-    seeds land on the same answer.  Returns (diagram, iterations): the
-    solved weights are diagram.weights, centered as every iterate is, and
-    power_diagram(polygon, sites, diagram.weights) rebuilds the diagram bit
-    for bit.  Raises ValueError when the sites coincide or are not finite,
-    when the n cells would not each hold more than AREA_EPS
-    (geometry.check_cell_area), and when the sites are too far out for
-    doubles: their box with the polygon overflows, the seed is not finite,
+    tol, a positive finite number (check_tol), bounds the infinity norm of the
+    normalized area residual max |1/n - area_i / A|.  w0 seeds the iteration
+    (any float vector; it is recentered); the maximizer itself is unique once
+    centered, so different seeds land on the same answer.  Returns (diagram,
+    iterations): the solved weights are diagram.weights, centered as every
+    iterate is, and power_diagram(polygon, sites, diagram.weights) rebuilds
+    the diagram bit for bit.  Raises ValueError for a bad tol, when the sites
+    coincide or are not finite, when the n cells would not each hold more than
+    AREA_EPS (geometry.check_cell_area), and when the sites are too far out
+    for doubles: their box with the polygon overflows, the seed is not finite,
     or even the seed leaves a cell empty.  Raises WeightSolveError when the
-    Newton system is singular, the line search stalls or the iteration cap
-    is hit; it carries the last diagram and the iteration count.
+    Newton system is singular, the line search stalls or the iteration cap is
+    hit; it carries the last diagram and the iteration count.
     """
+    check_tol(tol)
     sts = _as_site_tuple(sites)
     n = len(sts)
     check_cell_area(polygon, n)

@@ -26,6 +26,7 @@ from equicell import (
     group_action,
     is_face_complement,
     obstruction_report,
+    perimeter_spread,
     power_diagram,
     solve_equal_measure_weights,
     verify_coboundary_on_complex,
@@ -196,7 +197,7 @@ def test_criterion_09_equal_area_and_perimeter():
         worst_dt = max(worst_dt, dt)
         areas = np.array(res.diagram.areas)
         share = poly.area / n
-        if not (res.converged and res.spread <= 1e-6
+        if not (res.converged and perimeter_spread(res.diagram) <= 1e-6
                 and np.abs(areas - share).max() <= 1e-9 and dt < 300.0):
             ok = False
     report(9, ok, "square n=2,3,4 and triangle n=2,3 reach spread <= 1e-6 "

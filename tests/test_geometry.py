@@ -26,9 +26,11 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon(((0.0, 0.0), (1.0, 0.0)))
 
-    def test_clockwise_rejected(self):
-        with pytest.raises(ValueError):
-            ConvexPolygon(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)))
+    def test_clockwise_reversed(self):
+        # the whole list is reversed, so its last vertex, which fixes the
+        # frame of every build, comes first
+        cw = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0))
+        assert ConvexPolygon(cw).vertices == cw[::-1]
 
     def test_nonconvex_rejected(self):
         with pytest.raises(ValueError):

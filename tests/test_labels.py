@@ -177,6 +177,17 @@ class TestFoxNeuwirth:
         cfg = Configuration(((1.0, 2.0), (1.0, 2.0)))
         assert fox_neuwirth_label(cfg) == CellLabel((1, 2), (3,), 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # NaN compares false both ways, so it used to yield a label
+        with pytest.raises(ValueError, match="^coordinates must be finite numbers$"):
+            fox_neuwirth_label([(bad, 0.0), (0.0, 0.0), (1.0, 2.0)])
+
+    def test_huge_fraction_is_labelled(self):
+        # exact and finite, though too large for a float
+        lab = fox_neuwirth_label([(Fraction(10 ** 400), 0), (0, 0), (1, 2)])
+        assert lab == CellLabel((2, 3, 1), (1, 1), 2)
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -131,10 +131,10 @@ class TestIncidenceVectors:
 
         def with_non_faces(sigma, seps):
             # the first face, read backwards, is a ridge but not a face of
-            # the facet; a vertex label is no ridge at all
+            # the facet
             faces = real(sigma, seps)
             faces[0] = (faces[0][0][::-1], faces[0][1])
-            return faces + [((1, 2, 3, 4), (1, 1, 1))]
+            return faces
 
         monkeypatch.setattr(obstruction, "boundary", with_non_faces)
         counts = facet_ridge_class_counts(2, 4)
@@ -142,6 +142,14 @@ class TestIncidenceVectors:
         assert tuple(counts) == (3, 6, 4)
         every = support.all_facet_class_counts(2, 4, boundary=with_non_faces)
         assert (every == counts).all()
+
+    def test_a_face_two_dimensions_down_shows_in_the_row(self, monkeypatch):
+        # every move of a facet lowers one separator, so no filter on the
+        # moves hides a wrong one: a face two dimensions down is counted
+        real = obstruction.boundary
+        monkeypatch.setattr(obstruction, "boundary", lambda sigma, seps: real(
+            sigma, seps) + [((1, 2, 3, 4, 5), (1, 1, 2, 2))])
+        assert tuple(facet_ridge_class_counts(2, 5)) != expected_incidence_row(5)
 
 
 class TestBinomialGcd:

@@ -17,9 +17,8 @@ from equicell import (BudgetExceededError, CellLabel,
                       separator_min, stratum_dimension, validate_covers)
 from equicell import poset as poset_module
 from equicell import cli
-from equicell.poset import (_cover_count, _leq, boundary, cond_rows,
-                            cover_count, face_matrix, gov_rows,
-                            label_count, poset_csv_chunks, poset_json_chunks)
+from equicell.poset import (_cover_count, _leq, boundary, cond_rows, face_matrix,
+                            gov_rows, label_count, poset_csv_chunks, poset_json_chunks)
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -523,7 +522,9 @@ class TestColumnar:
                                           (2, 5, KIND_STRATIFICATION),
                                           (3, 4, KIND_STRATIFICATION)])
     def test_cover_count_is_exact(self, d, n, kind):
-        assert cover_count(d, n, kind) == len(enumerate_cells(d, n, kind).covers)
+        covers = len(enumerate_cells(d, n, kind).covers)
+        with pytest.raises(BudgetExceededError, match=" needs %d covers," % covers):
+            enumerate_cells(d, n, kind, budget=covers - 1)
 
     def test_budget_bounds_covers(self):
         with pytest.raises(BudgetExceededError, match="needs 864 covers"):

@@ -326,6 +326,29 @@ class TestSolve:
                                              r" 8.33e-16, not above AREA_EPS"):
             solve_equal_measure_weights(tiny, ((1e-8, 1e-8), (2e-8, 4e-8), (4e-8, 1e-8)))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1])
+    def test_bad_tol_rejected_before_any_build(self, monkeypatch, tol):
+        # with NaN the solve used to return its start as converged and the
+        # search to spend all its 40,000 weight solves
+        def no_build(*args):
+            raise AssertionError("a diagram was built")
+
+        monkeypatch.setattr(weight_solver, "power_diagram", no_build)
+        for solve in (lambda: solve_equal_measure_weights(SQUARE, ((0.2, 0.3), (0.7, 0.2),
+                                                                   (0.5, 0.8)), tol=tol),
+                      lambda: equalize_perimeters(SQUARE, 3, tol=tol)):
+            with pytest.raises(ValueError, match="^tol must be a positive finite number$"):
+                solve()
+
+    def test_check_tol_verdicts(self):
+        # the CLI's verdict on every JSON value; a 400-digit int once ended
+        # the CLI's test in an OverflowError
+        for tol in (1e-10, 1, 1e300, 10 ** 400):
+            weight_solver.check_tol(tol)
+        for tol in (True, False, None, "1e-6", [1e-6], 0, 0.0, -1e-6):
+            with pytest.raises(ValueError):
+                weight_solver.check_tol(tol)
+
     def test_iterations_and_residual(self):
         pd, iterations = solve_equal_measure_weights(
             SQUARE, ((0.25, 0.5), (0.6, 0.5)))
