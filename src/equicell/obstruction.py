@@ -202,11 +202,11 @@ def facet_ridge_class_counts(d: int, n: int,
         charge(limit, task, "(2^n - 2)(2n - 1) ridge row entries")
     charge(limit, task, "ridge row entries", (2 ** n - 2) * (2 * n - 1))
     identity, top = tuple(range(1, n + 1)), (d,) * (n - 1)
-    dtype = np.min_scalar_type(max(n, d + 1))
-    ridges = np.array([p + s for p, s in boundary(identity, top)], dtype=dtype)
-    facet = np.broadcast_to(np.array(identity + top, dtype=dtype), ridges.shape)
-    lowered = ridges[:, n:].argmin(axis=1)  # a ridge's class: its one d - 1 separator
-    return np.bincount(lowered[_leq(KIND_COMPLEMENT, ridges, facet)], minlength=n - 1)
+    rows = np.array([identity + top] + [p + s for p, s in boundary(identity, top)],
+                    dtype=np.min_scalar_type(max(n, d + 1)))  # facet, then ridges
+    inside = _leq(KIND_COMPLEMENT, rows, range(1, len(rows)), [0] * (len(rows) - 1))
+    lowered = rows[1:, n:].argmin(axis=1)  # a ridge's class: its one d - 1 separator
+    return np.bincount(lowered[inside], minlength=n - 1)
 
 
 def verify_coboundary_on_complex(d: int, n: int, cochain: RidgeOrbitCochain,

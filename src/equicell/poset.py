@@ -31,8 +31,8 @@ sigma only through positions: the faces of (sigma, seps) read sigma through
 the position maps that are the faces of (identity, seps).  So the covers of
 all n! labels with one separator word come from applying each position map
 to the whole permutation array and ranking the rows.  The face test runs the
-same way, over stacked gov rows: a word's running minima between positions,
-scattered through sigma.
+same way, over gov rows built once per label by `_leq`: a word's running
+minima between positions, scattered through sigma.
 """
 from __future__ import annotations
 
@@ -124,25 +124,17 @@ def _check_args(d, n, kind):
         raise ValueError("need d >= 1 and n >= 2")
 
 
-def _check_pair_compat(x: CellLabel, y: CellLabel):
-    if x.d != y.d or x.n != y.n:
-        raise InvalidLabelError("labels live on different (d, n)")
-
-
 def is_face_stratification(coarse: CellLabel, fine: CellLabel) -> bool:
     """True when the stratum of `fine` lies in the closure of that of `coarse`."""
-    _check_pair_compat(coarse, fine)
-    rows = _rows([fine, coarse])
-    return bool(_leq(KIND_STRATIFICATION, rows[:1], rows[1:])[0])
+    return bool(_leq(KIND_STRATIFICATION, _rows([fine, coarse]), [0], [1])[0])
 
 
 def is_face_complement(lower: CellLabel, upper: CellLabel) -> bool:
     """True when the cell of `lower` lies in the closed cell of `upper`."""
-    _check_pair_compat(lower, upper)
+    rows = _rows([lower, upper])
     if not (lower.is_cell and upper.is_cell):
         raise InvalidLabelError("cell face test needs separators <= d")
-    rows = _rows([lower, upper])
-    return bool(_leq(KIND_COMPLEMENT, rows[:1], rows[1:])[0])
+    return bool(_leq(KIND_COMPLEMENT, rows, [0], [1])[0])
 
 
 def _grid(d: int, n: int, kind: str):
@@ -252,32 +244,35 @@ def cond_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _rows(labels) -> np.ndarray:
-    """The rows (sigma, seps) of a nonempty list of CellLabels on one
-    (d, n), as one small-int array."""
-    dtype = np.min_scalar_type(max(labels[0].n, labels[0].d + 1))
-    return np.array([lab.sigma + lab.seps for lab in labels], dtype=dtype)
+    """The rows (sigma, seps) of a nonempty list of CellLabels as one
+    small-int array; InvalidLabelError unless they share one (d, n)."""
+    d, n = labels[0].d, labels[0].n
+    if any(lab.d != d or lab.n != n for lab in labels):
+        raise InvalidLabelError("labels live on different (d, n)")
+    return np.array([lab.sigma + lab.seps for lab in labels],
+                    dtype=np.min_scalar_type(max(n, d + 1)))
 
 
 def face_matrix(lowers, uppers, kind: str) -> np.ndarray:
-    """Boolean matrix F with F[i, j] = (lowers[i] is a face of uppers[j])."""
-    out = np.zeros((len(lowers), len(uppers)), dtype=bool)
+    """Boolean matrix F with F[i, j] = (lowers[i] is a face of uppers[j]),
+    from `_leq` on every index pair."""
     if not lowers or not uppers:
-        return out
-    lo, hi = gov_rows(_rows(lowers)), gov_rows(_rows(uppers))
-    for s in range(0, len(lo), 64):   # 64 lowers at a time bound the temporaries
-        blk = lo[s:s + 64, None]
-        out[s:s + 64] = (cond_rows(hi, blk) if kind == KIND_COMPLEMENT
-                         else cond_rows(blk, hi))
-    return out
+        return np.zeros((len(lowers), len(uppers)), dtype=bool)
+    i, j = np.divmod(np.arange(len(lowers) * len(uppers)), len(uppers))
+    return _leq(kind, _rows([*lowers, *uppers]), i,
+                len(lowers) + j).reshape(len(lowers), len(uppers))
 
 
-def _leq(kind: str, lower: np.ndarray, upper: np.ndarray,
-         chunk: int = 1 << 15) -> np.ndarray:
-    """For each row i, whether label row lower[i] lies in the closure of
-    label row upper[i]."""
+def _leq(kind: str, rows: np.ndarray, lower, upper, chunk: int = 1 << 15) -> np.ndarray:
+    """For each i, whether label row rows[lower[i]] lies in the closure of
+    rows[upper[i]], from gov arrays built once per row; both loops take `chunk`
+    rows or index pairs at a time to bound their temporaries."""
+    gov = np.empty((len(rows),) + (rows.shape[1] // 2 + 1,) * 2, dtype=rows.dtype)
+    for s in range(0, len(rows), chunk):
+        gov[s:s + chunk] = gov_rows(rows[s:s + chunk])
     out = np.empty(len(lower), dtype=bool)
     for s in range(0, len(lower), chunk):
-        lo, hi = gov_rows(lower[s:s + chunk]), gov_rows(upper[s:s + chunk])
+        lo, hi = gov[lower[s:s + chunk]], gov[upper[s:s + chunk]]
         out[s:s + chunk] = (cond_rows(hi, lo) if kind == KIND_COMPLEMENT
                             else cond_rows(lo, hi))
     return out
@@ -403,7 +398,7 @@ def validate_covers(poset: FacePoset) -> None:
         raise ValueError("a cover is stored twice")
     for c in np.flatnonzero(dims[hi] != dims[lo] + 1)[:1]:
         raise ValueError(f"cover ({lo[c]},{hi[c]}) has dimension gap != 1")
-    for c in np.flatnonzero(np.logical_not(_leq(poset.kind, labels[lo], labels[hi])))[:1]:
+    for c in np.flatnonzero(np.logical_not(_leq(poset.kind, labels, lo, hi)))[:1]:
         raise ValueError(f"cover ({lo[c]},{hi[c]}) is not a face pair")
     words, of_word = np.unique(labels[:, poset.n:], axis=0, return_inverse=True)
     want = np.array([_cover_count(w) for w in map(tuple, words.tolist())])[of_word]
@@ -411,8 +406,8 @@ def validate_covers(poset: FacePoset) -> None:
     for i in np.flatnonzero(have != want)[:1]:
         raise ValueError(f"element {i} has {have[i]} covers, expected {want[i]}")
     # every path x < y < z through stored covers, as the pair (x, z)
-    order = np.argsort(lo, kind="stable")
-    ups, starts = hi[order], np.searchsorted(lo[order], np.arange(size + 1))
+    below, ups = np.divmod(key, size)   # each element's upper covers, in a run
+    starts = np.searchsorted(below, np.arange(size + 1))
     steps = starts[hi + 1] - starts[hi]
     first = np.cumsum(steps) - steps
     z = ups[np.repeat(starts[hi] - first, steps) + np.arange(steps.sum())]

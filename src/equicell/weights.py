@@ -25,9 +25,10 @@ positive area, so for any distinct sites the seed has no empty cell (up to
 rounding: sites far outside, or clusters far smaller than the polygon, can
 give cells below AREA_EPS).  Sites whose box with the polygon overflows
 (geometry.extent_overflows, in the polygon's frame) are refused before any
-build, sites whose seed overflows (not finite) before its build, and sites
-that leave a cell empty even from the seed after it, with one ValueError
-naming the site extent in polygon diameters.  From there the iteration is
+build and sites whose seed overflows (not finite) before its build, with one
+ValueError naming the site extent in polygon diameters; sites that leave a
+cell below AREA_EPS even from the seed are refused after it, naming that
+cell's area, AREA_EPS and the site extent.  From there the iteration is
 the damped Newton method of Kitagawa, Merigot and Thibert: a step is halved
 until every cell keeps at least half of min(least share, 1/n) and the
 residual drops, so every accepted iterate has every cell nonempty.
@@ -38,7 +39,7 @@ from math import dist, inf
 
 import numpy as np
 
-from .geometry import (ConvexPolygon, check_cell_area, extent_overflows,
+from .geometry import (AREA_EPS, ConvexPolygon, check_cell_area, extent_overflows,
                        relative_to_first)
 from .powerdiagram import PowerDiagram, _as_site_tuple, power_diagram
 
@@ -106,11 +107,12 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
     iterate is, and power_diagram(polygon, sites, diagram.weights) rebuilds
     the diagram bit for bit.  Raises ValueError for a bad tol, when the sites
     coincide or are not finite, when the n cells would not each hold more than
-    AREA_EPS (geometry.check_cell_area), and when the sites are too far out
-    for doubles: their box with the polygon overflows, the seed is not finite,
-    or even the seed leaves a cell empty.  Raises WeightSolveError when the
-    Newton system is singular, the line search stalls or the iteration cap is
-    hit; it carries the last diagram and the iteration count.
+    AREA_EPS (geometry.check_cell_area), when the sites are too far out for
+    doubles (their box with the polygon overflows, or the seed is not finite),
+    and when even the seed leaves a cell below AREA_EPS.  Raises
+    WeightSolveError when the Newton system is singular, the line search
+    stalls or the iteration cap is hit; it carries the last diagram and the
+    iteration count.
     """
     check_tol(tol)
     sts = _as_site_tuple(sites)
@@ -139,12 +141,15 @@ def solve_equal_measure_weights(polygon: ConvexPolygon, sites, tol: float = 1e-1
             too_far = not np.isfinite(w).all()
             if not too_far:
                 diag, frac = build(w)
-                too_far = frac.min() <= 0.0
-    if too_far:
+    if too_far or frac.min() <= 0.0:
         diam = max(dist(p, q) for p in polygon.vertices for q in polygon.vertices)
-        far = max(dist(p, polygon.centroid) for p in sts.points)
-        raise ValueError("the sites reach %.3g polygon diameters from its centroid,"
-                         " too far for doubles to give every cell area" % (far / diam))
+        far = max(dist(p, polygon.centroid) for p in sts.points) / diam
+        if too_far:
+            raise ValueError("the sites reach %.3g polygon diameters from its centroid,"
+                             " too far for doubles to give every cell area" % far)
+        raise ValueError("even the Voronoi seed leaves a cell of area %.3g, not above"
+                         " AREA_EPS = %g; the sites reach %.3g polygon diameters from"
+                         " its centroid" % (frac.min() * A, AREA_EPS, far))
 
     r = target - frac
     rn = float(np.abs(r).max())

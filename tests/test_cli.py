@@ -597,6 +597,18 @@ class TestEquipart:
         assert res.stdout == ""
         assert "%.3g polygon diameters" % (far / 2 ** 0.5) in res.stderr
 
+    def test_seed_cell_below_the_area_floor_named(self, tmp_path):
+        # a square of side 6e-8 whose equal cells (1.2e-15) clear AREA_EPS,
+        # but whose Voronoi seed leaves the cell right of a close pair below
+        # it: the one error line names that cell's area, not distance alone
+        s = 6e-8
+        res = self.assert_input_error(tmp_path, json.dumps(
+            {"mode": "weights", "polygon": [[s * x, s * y] for x, y in SQUARE],
+             "sites": [[1e-8, 3e-8], [5e-8, 3e-8], [5.5e-8, 3e-8]]}))
+        assert res.stderr == ("error: bad sites: even the Voronoi seed leaves a cell"
+                              " of area 0, not above AREA_EPS = 1e-15; the sites reach"
+                              " 0.295 polygon diameters from its centroid\n")
+
     def test_non_numeric_tol_rejected(self, tmp_path):
         self.assert_input_error(tmp_path, json.dumps(
             {"mode": "weights", "polygon": SQUARE,

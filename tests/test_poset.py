@@ -334,7 +334,7 @@ class TestLocalValidation:
 
     def test_diamond_catches_what_a_blind_face_test_lets_through(
             self, poset, monkeypatch):
-        monkeypatch.setattr(poset_module, "_leq", lambda kind, a, b: True)
+        monkeypatch.setattr(poset_module, "_leq", lambda kind, rows, lo, hi: True)
         for covers in (moved_cover(poset), shuffled(moved_cover(poset))):
             with pytest.raises(ValueError, match="middle elements"):
                 validate_covers(broken(poset, covers))
@@ -487,12 +487,26 @@ class TestColumnar:
         # cond(lower, upper) for strata, read off the same all-pairs table
         scalar = (np.array(want).reshape(size, size).T.ravel().tolist()
                   if kind == KIND_COMPLEMENT else want)
-        assert _leq(kind, p.labels[x], p.labels[y], chunk=1000).tolist() == scalar
+        assert _leq(kind, p.labels, x, y, chunk=1000).tolist() == scalar
         pred = [is_face_complement(p.elements[i], p.elements[j])
                 if kind == KIND_COMPLEMENT else
                 is_face_stratification(p.elements[j], p.elements[i])
                 for i, j in zip(x.tolist(), y.tolist())]
         assert pred == scalar
+
+    @pytest.mark.parametrize("kind", [KIND_COMPLEMENT, KIND_STRATIFICATION])
+    def test_face_test_across_chunks(self, kind):
+        # gov arrays built 7 rows at a time and pairs answered 7 at a time:
+        # the covers and random pairs, shuffled, some repeated, most of them
+        # reaching across gov chunks, against the scalar criterion
+        p = enumerate_cells(2, 4, kind)
+        rng = np.random.default_rng(0)
+        pairs = np.concatenate([p.covers, rng.integers(len(p.labels), size=(2000, 2))])
+        pairs = np.concatenate([pairs, pairs[:300]])[rng.permutation(len(pairs) + 300)]
+        want = [support.scalar_leq(p, p.elements[i], p.elements[j])
+                for i, j in pairs.tolist()]
+        assert set(want) == {True, False}
+        assert _leq(kind, p.labels, pairs[:, 0], pairs[:, 1], chunk=7).tolist() == want
 
     @pytest.mark.parametrize("d,n,kind", [(1, 2, KIND_COMPLEMENT), (1, 3, KIND_COMPLEMENT),
                                           (2, 2, KIND_COMPLEMENT), (3, 5, KIND_COMPLEMENT),

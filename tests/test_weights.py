@@ -297,6 +297,20 @@ class TestSolve:
         with pytest.raises(ValueError, match="7.07e[+]149 polygon diameters"):
             solve_equal_measure_weights(SQUARE, ((0.2, 0.2), (1e150, 0.3)))
 
+    def test_seed_cell_below_the_area_floor_named(self):
+        # equal cells of 1.2e-15 clear AREA_EPS, but the seed's cell right of
+        # the close pair (4.5e-16) does not; the refusal names that area, not
+        # distance alone, and the same sites solve in the unit square
+        side, sites = 6e-8, ((1e-8, 3e-8), (5e-8, 3e-8), (5.5e-8, 3e-8))
+        tiny = ConvexPolygon(((0.0, 0.0), (side, 0.0), (side, side), (0.0, side)))
+        with pytest.raises(ValueError, match=r"^even the Voronoi seed leaves a cell of"
+                           r" area 0, not above AREA_EPS = 1e-15; the sites reach"
+                           r" 0\.295 polygon diameters from its centroid$"):
+            solve_equal_measure_weights(tiny, sites)
+        diag, _ = solve_equal_measure_weights(SQUARE, [(x / side, y / side)
+                                                       for x, y in sites])
+        assert support.area_residual(diag) <= 1e-10
+
     @pytest.mark.parametrize("far", [1e155, 1e160, 1e200, 1.7e308])
     @pytest.mark.parametrize("layout", ["single", "opposite", "all"])
     def test_sites_beyond_the_extent_bound_rejected(self, far, layout):
