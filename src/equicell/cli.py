@@ -230,8 +230,8 @@ def cmd_equipart(args) -> int:
             task = "%s with n=%d" % (mode, nparts)
             limit = charge(None, task, "site pairs per power-diagram build",
                            nparts * (nparts - 1))
-            if mode == "equalize":  # one solve per Jacobian column of 2n - 3
-                charge(limit, task, "site pairs per Gauss-Newton step",
+            if mode == "equalize":  # least squares on the (n-1) x (2n-3) Jacobian
+                charge(limit, task, "multiply-adds per Gauss-Newton step",
                        nparts * (nparts - 1) * (2 * nparts - 3))
         check_cell_area(polygon, nparts)
     except (BudgetExceededError, ValueError) as e:

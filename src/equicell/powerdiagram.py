@@ -90,7 +90,9 @@ class PowerDiagram:
 
     cells[i] is None when cell i misses the polygon.  interfaces[i] lists
     (j, length) for the straight wall between cells i and j, as measured on
-    cell i's boundary.
+    cell i's boundary.  edge_tags[i][e] names the line that edge e of cell i
+    (from vertex e to vertex e + 1) lies on: the neighbour j across a wall,
+    or -k - 1 for polygon edge k; it is empty for an empty cell.
     """
 
     polygon: ConvexPolygon
@@ -100,6 +102,7 @@ class PowerDiagram:
     areas: tuple[float, ...]
     perimeters: tuple[float, ...]
     interfaces: tuple[tuple[tuple[int, float], ...], ...]
+    edge_tags: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -165,6 +168,7 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     areas = []
     perims = []
     interfaces = []
+    edge_tags = []
     for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         site = pts[i]
         xi, yi = site
@@ -203,9 +207,11 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
                 shared[t] = shared.get(t, 0.0) + length
         perims.append(perim)
         interfaces.append(tuple(sorted(shared.items())))
+        edge_tags.append(tuple(ctags))
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
                         cells=tuple(cells), areas=tuple(areas),
-                        perimeters=tuple(perims), interfaces=tuple(interfaces))
+                        perimeters=tuple(perims), interfaces=tuple(interfaces),
+                        edge_tags=tuple(edge_tags))
 
 
 def perimeter_spread(diagram: PowerDiagram) -> float:

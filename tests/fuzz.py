@@ -49,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from equicell import cli  # noqa: E402
 
 SEED = 20121
+COSTLY_SEED = 20122   # the costlier equalize inputs at the end of the corpus
 TIMEOUT_S = 60
 EQUALIZE_SOLVE_TOL = 1e-11   # the tol of every weight solve in the search
 ROUNDING = 1e-13             # slack, relative to A, for the area check
@@ -160,9 +161,8 @@ def _weights_case(rng: random.Random, i: int) -> Case:
 
 def _equalize_case(rng: random.Random, i: int) -> Case:
     # n = 2 on random polygons and n = 3 on regular ones, with tol and
-    # offset relative to the size, so that each run ends within a second
-    # or two: the search differences its Jacobian in steps of 1e-7 of the
-    # size, and its tol bounds an absolute perimeter spread
+    # offset relative to the size, since tol bounds an absolute perimeter
+    # spread and the printed sites resolve only ulp(offset)
     scale = 10.0 ** rng.uniform(-10, 150)
     offset = rng.choice((0.0, scale * 10.0 ** rng.uniform(-2, 5)))
     n = 2 if rng.random() < 0.6 else 3
@@ -175,6 +175,20 @@ def _equalize_case(rng: random.Random, i: int) -> Case:
     kind, poly = _variant(rng, base)
     doc = {"mode": "equalize", "polygon": poly, "n": n,
            "tol": scale * rng.choice((1e-4, 1e-6, 1e-8)), "seed": rng.randrange(4)}
+    case = _equipart("equalize-%d-%s-n%d" % (i, kind, n), doc, (), poly,
+                     EQUALIZE_SOLVE_TOL)
+    return _with_output(rng, case)
+
+
+def _costly_equalize_case(rng: random.Random, i: int) -> Case:
+    # n = 4 to 7 on random polygons, each a search of many Gauss-Newton
+    # steps, with tol far below the size
+    scale = 10.0 ** rng.uniform(-6, 6)
+    offset = rng.choice((0.0, scale * 10.0 ** rng.uniform(-2, 3)))
+    n = rng.randint(4, 7)
+    kind, poly = _variant(rng, _convex(rng, rng.randint(3, 9), scale, offset))
+    doc = {"mode": "equalize", "polygon": poly, "n": n,
+           "tol": scale * rng.choice((1e-6, 1e-8)), "seed": rng.randrange(4)}
     case = _equipart("equalize-%d-%s-n%d" % (i, kind, n), doc, (), poly,
                      EQUALIZE_SOLVE_TOL)
     return _with_output(rng, case)
@@ -305,8 +319,10 @@ def _obstruction_case(rng: random.Random, i: int) -> Case:
 
 
 def corpus(seed: int = SEED) -> list:
-    """The fixed corpus: interleaved random cases of every kind, then the
-    hand-written bad `equipart` inputs and flags."""
+    """The fixed corpus: interleaved random cases of every kind with the
+    hand-written bad `equipart` inputs and flags among them, then costlier
+    `equalize` searches drawn from their own seed, so that adding them
+    changed none of the inputs before."""
     rng = random.Random(seed)
     makers = (_weights_case, _weights_case, _weights_case, _equalize_case,
               _label_case, _label_case, _complex_case, _obstruction_case)
@@ -315,6 +331,8 @@ def corpus(seed: int = SEED) -> list:
     # spread the hand-written cases through the corpus, so a slice holds some
     for k, case in enumerate(bad):
         cases.insert(7 * k + 3, case)
+    costly = random.Random(COSTLY_SEED)
+    cases += [_costly_equalize_case(costly, len(cases) + k) for k in range(16)]
     return cases
 
 

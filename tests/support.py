@@ -353,6 +353,7 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     areas = []
     perims = []
     interfaces = []
+    edge_tags = []
     for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         xi, yi = pts[i]
         qi = xi * xi + yi * yi
@@ -371,6 +372,7 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
             areas.append(0.0)
             perims.append(0.0)
             interfaces.append(())
+            edge_tags.append(())
             continue
         cells.append(ConvexPolygon(tuple((x + ox, y + oy) for x, y in cpts)))
         areas.append(polygon_area(cpts))
@@ -385,9 +387,11 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
             x1, y1 = cpts[(e + 1) % k]
             shared[t] = shared.get(t, 0.0) + ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
         interfaces.append(tuple(sorted(shared.items())))
+        edge_tags.append(tuple(ctags))
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
                         cells=tuple(cells), areas=tuple(areas),
-                        perimeters=tuple(perims), interfaces=tuple(interfaces))
+                        perimeters=tuple(perims), interfaces=tuple(interfaces),
+                        edge_tags=tuple(edge_tags))
 
 
 def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:

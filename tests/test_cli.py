@@ -685,8 +685,8 @@ class TestEquipart:
 
     @pytest.mark.parametrize("n, pairs", [(137, 5049272), (300, 53550900)])
     def test_equalize_over_the_step_budget_rejected(self, tmp_path, n, pairs):
-        # a Gauss-Newton step makes one weight solve per 2n - 3 columns; at
-        # n = 300 this had written nothing after a minute
+        # a Gauss-Newton step solves least squares on its (n - 1) x (2n - 3)
+        # Jacobian, about n (n - 1) (2n - 3) multiply-adds
         fixture = write_json(tmp_path / "in.json",
                              {"mode": "equalize", "polygon": SQUARE, "n": n})
         out = tmp_path / "out.json"
@@ -694,14 +694,14 @@ class TestEquipart:
         assert res.returncode == 2
         assert res.stdout == "" and not out.exists()
         assert res.stderr.splitlines() == [
-            "error: equalize with n=%d needs %d site pairs per Gauss-Newton step,"
+            "error: equalize with n=%d needs %d multiply-adds per Gauss-Newton step,"
             " budget is 5000000" % (n, pairs)]
 
     @pytest.mark.parametrize("n", [64, 136])
     def test_equalize_within_the_step_budget_runs(self, tmp_path, monkeypatch,
                                                   capsys, n):
-        # 136 * 135 * 269 = 4938840 site pairs per step fit the default budget;
-        # the search is stubbed to give up at once
+        # 136 * 135 * 269 = 4938840 multiply-adds per step fit the default
+        # budget; the search is stubbed to give up at once
         from equicell import cli
         from equicell.equalize import EqualizeError
 

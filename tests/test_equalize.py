@@ -7,10 +7,13 @@ import support
 from equicell import (ConvexPolygon, Sites, WeightSolveError, equalize_perimeters,
                       perimeter_spread, power_diagram, solve_equal_measure_weights)
 from equicell import equalize
-from equicell.equalize import EqualizeError, _gauge_complement
+from equicell.equalize import EqualizeError, _gauge_complement, site_jacobian
 
 SQUARE = support.UNIT_SQUARE
 QUADRILATERAL = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.6, 1.1), (0.2, 0.8)))
+PENTAGON = ConvexPolygon(((0.0, 0.0), (1.8, 0.1), (2.2, 1.0), (1.0, 1.9), (-0.3, 1.1)))
+# the unit square with a vertex halfway along its bottom edge
+COLLINEAR = ConvexPolygon(((0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
 
 class TestEqualize:
@@ -75,6 +78,76 @@ class TestEqualize:
             assert res.converged
 
 
+class TestSiteJacobian:
+    """site_jacobian against central differences of the perimeters and
+    weights re-solved for equal areas, in steps of 1e-6 of the diameter."""
+
+    @staticmethod
+    def sites(rng, polygon, n, outside):
+        # n - outside sites inside; the rest on a circle about the centroid
+        # that holds the whole polygon, so they lie outside it
+        c = np.array(polygon.centroid)
+        reach = max(np.hypot(*(np.array(v) - c)) for v in polygon.vertices)
+        turn = rng.uniform(0.0, 2.0 * np.pi, outside)
+        far = c + reach * rng.uniform(1.2, 1.6, (outside, 1)) * np.column_stack(
+            [np.cos(turn), np.sin(turn)])
+        return np.vstack([support.random_sites_inside(rng, polygon, n - outside), far])
+
+    @pytest.mark.parametrize("polygon", [PENTAGON, COLLINEAR], ids=["pentagon", "collinear"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    @pytest.mark.parametrize("outside", [False, True], ids=["interior", "half-outside"])
+    def test_matches_central_differences(self, polygon, n, outside):
+        x = self.sites(np.random.default_rng(n), polygon, n, n // 2 if outside else 0)
+        x0, y0, x1, y1 = polygon.bbox
+        h = 1e-6 * np.hypot(x1 - x0, y1 - y0)
+
+        def solve(y, w0=None):
+            diag, _ = solve_equal_measure_weights(polygon, tuple(map(tuple, y)),
+                                                  tol=1e-13, w0=w0)
+            return np.array(diag.perimeters), np.array(diag.weights), diag
+
+        _, w, diag = solve(x)
+        dP, dW = site_jacobian(diag)
+        fd_p, fd_w = np.empty((n, 2 * n)), np.empty((n, 2 * n))
+        for k in range(2 * n):
+            move = h * np.eye(2 * n)[k].reshape(n, 2)
+            p_hi, w_hi, _ = solve(x + move, w)
+            p_lo, w_lo, _ = solve(x - move, w)
+            fd_p[:, k] = (p_hi - p_lo) / (2.0 * h)
+            fd_w[:, k] = (w_hi - w_lo) / (2.0 * h)
+        for exact, fd in ((dP, fd_p), (dW, fd_w)):
+            assert np.abs(exact - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_a_step_solves_only_its_trials(self, monkeypatch):
+        # the log holds "J" per Jacobian, that is per Gauss-Newton step, and
+        # "s" per weight solve: each step's solves are its trials, one to five
+        # (t = 1 down to 1/16), where differencing would add 2n - 3 = 9
+        log = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                log.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(equalize, "site_jacobian",
+                            logged("J", equalize.site_jacobian))
+        monkeypatch.setattr(equalize, "solve_equal_measure_weights",
+                            logged("s", solve_equal_measure_weights))
+        res = equalize_perimeters(PENTAGON, 6, tol=1e-6, seed=0)
+        assert res.converged and res.start_index == 0
+        assert log.count("s") == res.evaluations and log[0] == "s"
+        steps = "".join(log[1:]).split("J")[1:]
+        assert steps and all(1 <= len(trials) <= 5 for trials in steps)
+
+    def test_singular_weight_system_ends_the_start(self, monkeypatch):
+        # with no walls J is zero and J + 11^T / n has rank one: each start
+        # ends after its first solve instead of raising LinAlgError
+        monkeypatch.setattr(equalize, "area_jacobian", lambda diag: np.zeros((diag.n,) * 2))
+        res = equalize_perimeters(SQUARE, 3, tol=1e-12, max_evals=4)
+        assert not res.converged and res.evaluations == 4
+
+
 class TestSearchEnds:
     def test_no_equal_area_diagram_is_an_equalize_error(self, monkeypatch):
         with pytest.raises(EqualizeError):
@@ -112,7 +185,7 @@ class TestSearchEnds:
 
 
 class TestGauge:
-    def test_difference_basis_avoids_the_gauge(self):
+    def test_step_basis_avoids_the_gauge(self):
         x = np.array([(0.4, 0.3), (1.5, 0.4), (0.9, 0.8), (0.2, 0.1)])
         Q = _gauge_complement(x)
         assert Q.shape == (8, 5)

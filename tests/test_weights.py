@@ -478,7 +478,7 @@ class TestTranslatedPolygon:
                                                 tol=1e-10)
             assert support.area_residual(pd) <= 1e-10
 
-    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("offset", OFFSETS + [1e8])
     def test_equalize_converges(self, offset):
         res = equalize_perimeters(ConvexPolygon(self.moved(SQUARE.vertices, offset)),
                                   3, tol=1e-6, max_evals=200)
