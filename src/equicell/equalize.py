@@ -84,7 +84,7 @@ def site_jacobian(diagram: PowerDiagram) -> tuple[np.ndarray, np.ndarray]:
     at its midpoint to the area of cell i.  Equal areas then give the weights'
     derivative dW from (J + 11^T / n) dW = -dA/dx, J = area_jacobian, the
     weight solve's own system: dW sums to zero, as the weights do.  All of it
-    is taken in the polygon's frame, like the build.  Raises
+    is taken in the polygon's frame, on the build's own outlines.  Raises
     numpy.linalg.LinAlgError when that system is singular.
     """
     n = diagram.n
@@ -100,9 +100,8 @@ def site_jacobian(diagram: PowerDiagram) -> tuple[np.ndarray, np.ndarray]:
         row[2 * j:2 * j + 2] += coef * (xj - v[0]), coef * (yj - v[1])
         row[2 * i:2 * i + 2] -= coef * (xi - v[0]), coef * (yi - v[1])
 
-    for i, (cell, tags) in enumerate(zip(diagram.cells, diagram.edge_tags)):
+    for i, (vs, tags) in enumerate(zip(diagram.outlines, diagram.edge_tags)):
         xi, yi = pts[i]
-        vs = [(x - ox, y - oy) for x, y in cell.vertices]
         k = len(vs)
         units = []
         for e in range(k):

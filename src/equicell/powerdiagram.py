@@ -6,8 +6,8 @@ each cell is an intersection of half-planes with the polygon and is computed
 by iterated clipping against the other sites in turn.  Only weight
 differences matter; shifting all weights by a constant leaves every cell
 unchanged.  A build works relative to the polygon's first vertex, where x
-and |x|^2 below are taken (see geometry.relative_to_first), and moves the
-cells back.
+and |x|^2 below are taken (see geometry.relative_to_first), and keeps each
+cell in that frame, as it computed it.
 
 Most of those clips leave the cell as it is, and the build skips the ones
 that provably do.  Write d = |x_j - x_i| and let R bound the distance from x_i
@@ -19,8 +19,8 @@ value is <= 0).  The skip demands a margin of 1e-9 (d^2 + |x_i|^2 + |x_j|^2 +
 |w_i| + |w_j|).  When it passes, 2 d R is below d^2 + |w_i| + |w_j|, so each
 term of a side value is bounded by that sum and its rounding is below 2e-15
 times it: a skipped clip is one whose computed side values would all have
-been <= 0, and cells, areas, perimeters and interfaces are exactly those of
-clipping against every site in the same order.  R is measured from the
+been <= 0, and cells, areas and perimeters are exactly those of clipping
+against every site in the same order.  R is measured from the
 current vertices, so this holds however the cell was cut.  Per site the test
 is R < t_j = (d^2 - (w_j - w_i) - margin) / (2 d), a threshold computed with
 numpy for a block of sites at a time.  Each cell visits the sites in
@@ -39,11 +39,13 @@ sites on (0.4-0.5 at 31).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import dist, inf, isfinite
 
 import numpy as np
 
-from .geometry import ConvexPolygon, _clipped_polygon, clip_tagged, polygon_area
+from .geometry import (ConvexPolygon, _clipped_polygon, clip_tagged, polygon_area,
+                       polygon_perimeter)
 
 SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
 SKIP_FROM = 12       # fewer sites: thresholds save no time over index order
@@ -86,27 +88,34 @@ class Sites:
 
 @dataclass(frozen=True)
 class PowerDiagram:
-    """The clipped cells plus their measures and pairwise interface lengths.
+    """Each cell once, as the build computed it, plus its measures.
 
-    cells[i] is None when cell i misses the polygon.  interfaces[i] lists
-    (j, length) for the straight wall between cells i and j, as measured on
-    cell i's boundary.  edge_tags[i][e] names the line that edge e of cell i
-    (from vertex e to vertex e + 1) lies on: the neighbour j across a wall,
-    or -k - 1 for polygon edge k; it is empty for an empty cell.
+    outlines[i] holds cell i's counterclockwise vertices relative to the
+    polygon's first vertex; it is empty when cell i misses the polygon.
+    edge_tags[i][e] names the line that edge e of cell i (from vertex e to
+    vertex e + 1) lies on: the neighbour j across a wall, or -k - 1 for
+    polygon edge k.  areas and perimeters are measured on the outlines, and
+    cells[i] is outline i moved back to absolute coordinates (None for an
+    empty cell).
     """
 
     polygon: ConvexPolygon
     sites: Sites
     weights: tuple[float, ...]
-    cells: tuple[ConvexPolygon | None, ...]
+    outlines: tuple[tuple[tuple[float, float], ...], ...]
     areas: tuple[float, ...]
     perimeters: tuple[float, ...]
-    interfaces: tuple[tuple[tuple[int, float], ...], ...]
     edge_tags: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.sites)
+
+    @cached_property
+    def cells(self) -> tuple[ConvexPolygon | None, ...]:
+        ox, oy = self.polygon.vertices[0]
+        return tuple(_clipped_polygon([(x + ox, y + oy) for x, y in pts]) if pts else None
+                     for pts in self.outlines)
 
 
 def _as_site_tuple(sites) -> Sites:
@@ -164,10 +173,9 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
     base_pts = polygon.local
     base_tags = [-(e + 1) for e in range(len(base_pts))]
 
-    cells = []
+    outlines = []
     areas = []
     perims = []
-    interfaces = []
     edge_tags = []
     for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         site = pts[i]
@@ -188,35 +196,19 @@ def power_diagram(polygon: ConvexPolygon, sites, weights=None) -> PowerDiagram:
                 cpts = npts
                 if not cpts:
                     break
-        # an empty cell has no edges, area 0.0, perimeter 0.0 and no walls
-        cells.append(_clipped_polygon([(x + ox, y + oy) for x, y in cpts])
-                     if cpts else None)
+        # an empty cell has no vertices or edges, area 0.0 and perimeter 0.0
+        outlines.append(tuple(cpts))
         areas.append(polygon_area(cpts))
-        # one pass over the edges: the perimeter as polygon_perimeter sums
-        # it, and the wall lengths by neighbour
-        perim = 0.0
-        shared: dict[int, float] = {}
-        k = len(cpts)
-        for e in range(k):
-            x0, y0 = cpts[e]
-            x1, y1 = cpts[(e + 1) % k]
-            length = ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
-            perim += length
-            t = ctags[e]
-            if t >= 0:
-                shared[t] = shared.get(t, 0.0) + length
-        perims.append(perim)
-        interfaces.append(tuple(sorted(shared.items())))
+        perims.append(polygon_perimeter(cpts))
         edge_tags.append(tuple(ctags))
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
-                        cells=tuple(cells), areas=tuple(areas),
-                        perimeters=tuple(perims), interfaces=tuple(interfaces),
-                        edge_tags=tuple(edge_tags))
+                        outlines=tuple(outlines), areas=tuple(areas),
+                        perimeters=tuple(perims), edge_tags=tuple(edge_tags))
 
 
 def perimeter_spread(diagram: PowerDiagram) -> float:
     """max - min of cell perimeters; zero for a single cell."""
-    if any(c is None for c in diagram.cells):
+    if not all(diagram.outlines):
         raise ValueError("spread undefined: some cell is empty")
     return max(diagram.perimeters) - min(diagram.perimeters)
 

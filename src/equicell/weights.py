@@ -55,12 +55,19 @@ class WeightSolveError(RuntimeError):
 
 
 def area_jacobian(diagram: PowerDiagram) -> np.ndarray:
-    """d(area_i)/d(w_j) assembled from shared wall lengths."""
+    """d(area_i)/d(w_j) assembled from shared wall lengths: the lengths of
+    cell i's edges tagged j, summed in edge order on its outline."""
     n = diagram.n
     pts = diagram.sites.points
     J = np.zeros((n, n))
-    for i, row in enumerate(diagram.interfaces):
-        for j, length in row:
+    for i, (cpts, tags) in enumerate(zip(diagram.outlines, diagram.edge_tags)):
+        shared: dict[int, float] = {}
+        k = len(cpts)
+        for e, j in enumerate(tags):
+            if j >= 0:
+                (x0, y0), (x1, y1) = cpts[e], cpts[(e + 1) % k]
+                shared[j] = shared.get(j, 0.0) + ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+        for j, length in sorted(shared.items()):
             dx = pts[i][0] - pts[j][0]
             dy = pts[i][1] - pts[j][1]
             v = length / (2.0 * (dx * dx + dy * dy) ** 0.5)

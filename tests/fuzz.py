@@ -333,6 +333,14 @@ def corpus(seed: int = SEED) -> list:
         cases.insert(7 * k + 3, case)
     costly = random.Random(COSTLY_SEED)
     cases += [_costly_equalize_case(costly, len(cases) + k) for k in range(16)]
+    # inputs that once failed, by name: the equalize Jacobian took its
+    # vertices from the absolute cells, and on a square 1e10 out two of
+    # them coincided (ZeroDivisionError)
+    far = [[1e10, 1e10], [10000000001, 1e10], [10000000001, 10000000001],
+           [1e10, 10000000001]]
+    cases.append(_equipart("equalize-far-square-n5", {
+        "mode": "equalize", "polygon": far, "n": 5, "seed": 0, "tol": 1e-6},
+        (), far, EQUALIZE_SOLVE_TOL))
     return cases
 
 

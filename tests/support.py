@@ -342,17 +342,17 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     r(points) is the largest distance from site i to a point, and
     halfplane(j) gives the (a, c) that the build clips with against site j.
     Like the build, it clips in the frame of the polygon's first vertex and
-    moves the cells back."""
+    keeps the outlines there; each cell, moved back, must pass ConvexPolygon's
+    validation unchanged."""
     sts = _as_site_tuple(sites)
     ox, oy = polygon.vertices[0]
     pts = [(x - ox, y - oy) for x, y in sts.points]
     wvals = (0.0,) * len(pts) if weights is None else tuple(float(v) for v in weights)
     start = (list(polygon.local), [-(e + 1) for e in range(len(polygon.vertices))])
 
-    cells = []
+    outlines = []
     areas = []
     perims = []
-    interfaces = []
     edge_tags = []
     for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
         xi, yi = pts[i]
@@ -367,31 +367,17 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
             return max(dist(p, pts[i]) for p in cpts)
 
         cpts, ctags = clip_cell(i, order, reach, start, r, halfplane)
-        if not cpts:
-            cells.append(None)
-            areas.append(0.0)
-            perims.append(0.0)
-            interfaces.append(())
-            edge_tags.append(())
-            continue
-        cells.append(ConvexPolygon(tuple((x + ox, y + oy) for x, y in cpts)))
+        if cpts:
+            # a clipped cell moved back passes validation unchanged
+            cell = tuple((x + ox, y + oy) for x, y in cpts)
+            assert ConvexPolygon(cell).vertices == cell
+        outlines.append(tuple(cpts))
         areas.append(polygon_area(cpts))
         perims.append(polygon_perimeter(cpts))
-        shared: dict[int, float] = {}
-        k = len(cpts)
-        for e in range(k):
-            t = ctags[e]
-            if t < 0:
-                continue
-            x0, y0 = cpts[e]
-            x1, y1 = cpts[(e + 1) % k]
-            shared[t] = shared.get(t, 0.0) + ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
-        interfaces.append(tuple(sorted(shared.items())))
         edge_tags.append(tuple(ctags))
     return PowerDiagram(polygon=polygon, sites=sts, weights=wvals,
-                        cells=tuple(cells), areas=tuple(areas),
-                        perimeters=tuple(perims), interfaces=tuple(interfaces),
-                        edge_tags=tuple(edge_tags))
+                        outlines=tuple(outlines), areas=tuple(areas),
+                        perimeters=tuple(perims), edge_tags=tuple(edge_tags))
 
 
 def all_pairs_power_diagram(polygon, sites, weights=None) -> PowerDiagram:

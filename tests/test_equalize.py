@@ -118,6 +118,27 @@ class TestSiteJacobian:
         for exact, fd in ((dP, fd_p), (dW, fd_w)):
             assert np.abs(exact - fd).max() <= 1e-5 * np.abs(fd).max()
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8, 1e10])
+    def test_exact_at_any_offset(self, offset):
+        # multiples of 2^-19, so moving them and the square is exact: the
+        # build's outlines, and with them the weights and the Jacobian, are
+        # those at the origin bit for bit
+        sites = ((0.44149208068847656, 0.6251258850097656),
+                 (0.7454624176025391, 0.4757347106933594),
+                 (0.6143779754638672, 0.36865806579589844),
+                 (0.4785499572753906, 0.6790771484375),
+                 (0.4768943786621094, 0.6024379730224609))
+
+        def solve(d):
+            square = ConvexPolygon(tuple((x + d, y + d) for x, y in SQUARE.vertices))
+            return solve_equal_measure_weights(
+                square, tuple((x + d, y + d) for x, y in sites), tol=1e-11)[0]
+
+        here, there = solve(0.0), solve(offset)
+        assert there.weights == here.weights
+        for moved, at_origin in zip(site_jacobian(there), site_jacobian(here)):
+            assert np.array_equal(moved, at_origin)
+
     def test_a_step_solves_only_its_trials(self, monkeypatch):
         # the log holds "J" per Jacobian, that is per Gauss-Newton step, and
         # "s" per weight solve: each step's solves are its trials, one to five

@@ -1,6 +1,8 @@
 """Tests for power diagrams: cell construction, the partition property,
-interface bookkeeping, equivariance under motions and relabelings, and
+wall bookkeeping, equivariance under motions and relabelings, and
 bit-for-bit agreement of the clip-skipping build with all-pairs clipping."""
+
+from math import dist
 
 import numpy as np
 import pytest
@@ -13,6 +15,16 @@ from equicell import powerdiagram
 from equicell import weights as weight_solver
 
 SQUARE = support.UNIT_SQUARE
+
+
+def wall_lengths(diagram, i):
+    """{j: length of the wall between cells i and j}, summed over the edges
+    of cell i's outline that are tagged j."""
+    pts, walls = diagram.outlines[i], {}
+    for e, j in enumerate(diagram.edge_tags[i]):
+        if j >= 0:
+            walls[j] = walls.get(j, 0.0) + dist(pts[e], pts[(e + 1) % len(pts)])
+    return walls
 
 
 class TestSitesWeights:
@@ -136,8 +148,8 @@ class TestPowerDiagram:
             sites = support.random_sites_inside(rng, poly, 5)
             pd = power_diagram(poly, sites)
             seen = {}
-            for i, pairs in enumerate(pd.interfaces):
-                for j, length in pairs:
+            for i in range(pd.n):
+                for j, length in wall_lengths(pd, i).items():
                     seen[(i, j)] = length
             for (i, j), length in seen.items():
                 assert (j, i) in seen
@@ -148,8 +160,8 @@ class TestPowerDiagram:
         poly = support.random_convex_polygon(rng)
         sites = support.random_sites_inside(rng, poly, 4)
         pd = power_diagram(poly, sites)
-        for i, cell in enumerate(pd.cells):
-            inner = sum(length for _, length in pd.interfaces[i])
+        for i in range(pd.n):
+            inner = sum(wall_lengths(pd, i).values())
             assert inner <= pd.perimeters[i] + 1e-9
 
 
@@ -393,8 +405,8 @@ class TestThresholdOrder:
         want = support.index_order_power_diagram(poly, sites, weights)
         assert [c is None for c in got.cells] == [c is None for c in want.cells]
         assert np.abs(np.subtract(got.areas, want.areas)).max() <= 1e-12 * poly.area
-        for a, b in zip(got.interfaces, want.interfaces):
-            assert [j for j, _ in a] == [j for j, _ in b]
+        for i in range(got.n):
+            assert sorted(wall_lengths(got, i)) == sorted(wall_lengths(want, i))
 
     @pytest.mark.parametrize("n", [40, 120, 300])
     def test_random_and_degenerate_sites(self, n):
@@ -430,10 +442,10 @@ class TestThresholdOrder:
 
 
 class TestCellsAreClipResults:
-    """Cells are the clipped vertex lists, wrapped without validating them
-    again: validation would change nothing, and the one-pass perimeters and
-    the interfaces are those all-pairs clipping measures on the same lists,
-    the perimeters with polygon_perimeter."""
+    """Cells are the clipped vertex lists moved back by the polygon's first
+    vertex, wrapped without validating them again: validation would change
+    nothing, and the outlines, edge tags and perimeters are those of
+    all-pairs clipping, the perimeters measured with polygon_perimeter."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40, 80])
     def test_cells_pass_validation_unchanged(self, n):
@@ -444,13 +456,18 @@ class TestCellsAreClipResults:
             w = rng.normal(scale=0.3 * poly.area / n, size=n)
             got = power_diagram(poly, sites, tuple(w))
             want = support.all_pairs_power_diagram(poly, sites, tuple(w))
-            assert got.interfaces == want.interfaces
+            assert got.outlines == want.outlines
+            assert got.edge_tags == want.edge_tags
             assert got.perimeters == want.perimeters
             assert any(c is not None for c in got.cells)
-            for cell in got.cells:
-                if cell is not None:
+            ox, oy = poly.vertices[0]
+            for cell, pts in zip(got.cells, got.outlines):
+                if cell is None:
+                    assert pts == ()
+                else:
                     assert isinstance(cell, ConvexPolygon)
                     assert ConvexPolygon(cell.vertices) == cell
+                    assert cell.vertices == tuple((x + ox, y + oy) for x, y in pts)
 
 
 class TestSupport:
