@@ -8,12 +8,12 @@ from .labels import (CellLabel, Configuration, InvalidLabelError, cell_dimension
 from .poset import (BudgetExceededError, DEFAULT_BUDGET, FacePoset,
                     KIND_COMPLEMENT, KIND_STRATIFICATION, charge, enumerate_cells,
                     enumerate_labels, euler_characteristic, f_vector,
-                    is_face_complement, is_face_stratification, poset_from_json,
-                    resolve_budget, validate_covers)
+                    is_face_complement, is_face_stratification, resolve_budget,
+                    validate_covers)
 from .obstruction import (ObstructionReport, RidgeOrbitCochain, binomial_gcd,
                           binomial_valuation, coboundary_witness,
-                          expected_incidence_row, is_prime_power, obstruction_report,
-                          prime_power, ridge_orbit_index, verify_coboundary_on_complex)
+                          expected_incidence_row, obstruction_report, prime_power,
+                          verify_coboundary_on_complex)
 from .geometry import AREA_EPS, MERGE_EPS, ConvexPolygon
 from .powerdiagram import PowerDiagram, Sites, perimeter_spread, power_diagram
 from .weights import WeightSolveError, area_jacobian, solve_equal_measure_weights

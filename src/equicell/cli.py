@@ -6,17 +6,19 @@ equal-perimeter decompositions of a convex polygon), label (classify a point
 configuration).  Exit codes: 0 success, 1 failed internal check or
 non-convergence, 2 malformed input, enumeration budget exceeded or an output
 file or stdout that cannot be written.  Outputs are written only after all
-computation succeeds, each through a temporary file in the target directory
-that is then renamed over the target, so no run leaves a partial file, and
+computation succeeds, and every output file before stdout (see _emit): an
+exit 2 prints one `error:` line, nothing on stdout and no file, and
 identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from math import factorial
 from pathlib import Path
 
@@ -47,31 +49,40 @@ class OutputError(Exception):
     """An output file could not be written."""
 
 
-def _emit(text, path: str | None):
-    """Write text, a string or an iterable of string chunks, to stdout or to
-    path.  A file is written whole or not at all: through a temp file beside
-    it, renamed over it (through a symlink, the file it names).  A device or
-    pipe, such as /dev/stdout, is written directly."""
-    chunks = [text] if isinstance(text, str) else text
-    if path is None:
-        sys.stdout.writelines(chunks)
-        return
-    target = Path(path)
-    tmp = None
+def _emit(stdout, files=()):
+    """Write a run's outputs: stdout, an iterable of string chunks, and files,
+    (path, text) pairs with text a string or an iterable of chunks.  Each file
+    is first written whole to a temp file beside it; if one cannot be, the
+    temps made so far are removed and OutputError is raised before stdout is
+    touched.  Then stdout is written, then each device or pipe named, such as
+    /dev/stdout, directly, and last each temp is renamed over its target
+    (through a symlink, the file it names)."""
+    temps, devices = [], []
     try:
-        if target.exists() and not target.is_file():
-            with open(target, "w") as f:
+        for k, (path, text) in enumerate(files):
+            chunks = [text] if isinstance(text, str) else text
+            target = Path(path)
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if target.exists() and not target.is_file():
+                devices.append((path, chunks))
+                continue
+            target = target.resolve()
+            tmp = target.with_name(".%s.%d.%d.tmp" % (target.name, os.getpid(), k))
+            with open(tmp, "x") as f:
+                temps.append((path, tmp, target))
                 f.writelines(chunks)
-            return
-        target = target.resolve()
-        tmp = target.with_name(".%s.%d.tmp" % (target.name, os.getpid()))
-        with open(tmp, "x") as f:
-            f.writelines(chunks)
-        os.replace(tmp, target)
+        path = None   # an error writing stdout is main's to report
+        sys.stdout.writelines(stdout)
+        for path, chunks in devices:
+            with open(path, "w") as f:
+                f.writelines(chunks)
+        for path, tmp, target in temps:
+            os.replace(tmp, target)
     except BaseException as e:
-        if tmp is not None:
+        for _, tmp, _ in temps:
             tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError):
+        if isinstance(e, OSError) and path is not None:
             raise OutputError("cannot write %s: %s" % (path, e.strerror or e)) from None
         raise
 
@@ -88,14 +99,16 @@ def cmd_complex(args) -> int:
               and chi == euler_characteristic(args.d, args.n))
     else:
         ok = fv[0] == 1 and fv[-1] == factorial(args.n)
-    print("kind=%s d=%d n=%d" % (args.kind, args.d, args.n))
-    print("elements=%d covers=%d" % (len(poset.labels), len(poset.covers)))
-    print("f_vector=%s" % (fv,))
-    print("euler_characteristic=%d" % chi)
-    print("checks=%s" % ("ok" if ok else "FAILED"))
-    if args.output is not None or args.format == "csv":
-        write = poset_json_chunks if args.format == "json" else poset_csv_chunks
-        _emit(write(poset), args.output)
+    stdout = ["kind=%s d=%d n=%d\n" % (args.kind, args.d, args.n),
+              "elements=%d covers=%d\n" % (len(poset.labels), len(poset.covers)),
+              "f_vector=%s\n" % (fv,),
+              "euler_characteristic=%d\n" % chi,
+              "checks=%s\n" % ("ok" if ok else "FAILED")]
+    write = poset_json_chunks if args.format == "json" else poset_csv_chunks
+    if args.output is not None:
+        _emit(stdout, [(args.output, write(poset))])
+    else:  # CSV goes to stdout, JSON only to a file
+        _emit(chain(stdout, write(poset)) if args.format == "csv" else stdout)
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -120,8 +133,8 @@ def cmd_obstruction(args) -> int:
                   if args.verify else None)
     except (BudgetExceededError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
-    print("n=%d d=%d gcd=%d group=%s map_exists=%s"
-          % (rep.n, rep.d, rep.gcd, rep.group, rep.map_exists))
+    stdout = ["n=%d d=%d gcd=%d group=%s map_exists=%s\n"
+              % (rep.n, rep.d, rep.gcd, rep.group, rep.map_exists)]
     out = {
         "d": rep.d,
         "n": rep.n,
@@ -134,21 +147,20 @@ def cmd_obstruction(args) -> int:
     }
     with _int_digits_unlimited():
         if rep.witness is not None:
-            print("witness=%s" % (rep.witness.values,))
-        text = jsonio.dumps(out) if args.output is not None else None
-    verified = True
+            stdout.append("witness=%s\n" % (rep.witness.values,))
+        files = [] if args.output is None else [(args.output, jsonio.dumps(out))]
+    failed = None
     if counts is not None:  # one facet's row stands for all (obstruction docstring)
         if tuple(counts) != expected_incidence_row(args.n):
-            print("incidence check FAILED", file=sys.stderr)
-            verified = False
+            failed = "incidence"
         elif rep.witness is not None and sum(
                 c * x for c, x in zip(counts, rep.witness.values)) != 1:
-            print("coboundary check FAILED", file=sys.stderr)
-            verified = False
-        print("verify=%s" % ("ok" if verified else "FAILED"))
-    if text is not None:
-        _emit(text, args.output)
-    return EXIT_OK if verified else EXIT_CHECK
+            failed = "coboundary"
+        stdout.append("verify=%s\n" % ("ok" if failed is None else "FAILED"))
+    _emit(stdout, files)
+    if failed:
+        print("%s check FAILED" % failed, file=sys.stderr)
+    return EXIT_CHECK if failed else EXIT_OK
 
 
 def _number(v) -> float:
@@ -184,7 +196,7 @@ def _diagram_payload(diag, iterations, converged) -> dict:
 def _payload_csv(payload) -> str:
     rows = ["index,site_x,site_y,weight,area,perimeter"]
     for i, site in enumerate(payload["sites"]):
-        rows.append(",".join([str(i)] + [jsonio.format_real(v) for v in (
+        rows.append(",".join([str(i)] + [json.dumps(v, allow_nan=False) for v in (
             site[0], site[1], payload["weights"][i],
             payload["areas"][i], payload["perimeters"][i])]))
     return "\n".join(rows) + "\n"
@@ -255,9 +267,10 @@ def cmd_equipart(args) -> int:
 
     payload = _diagram_payload(diag, iters, converged)
     text = jsonio.dumps(payload) if args.format == "json" else _payload_csv(payload)
-    _emit(text, args.output)
+    files = [] if args.output is None else [(args.output, text)]
     if args.svg is not None:
-        _emit(render_power_diagram_svg(diag), args.svg)
+        files.append((args.svg, render_power_diagram_svg(diag)))
+    _emit([text] if args.output is None else [], files)
     return EXIT_OK if converged else EXIT_CHECK
 
 
@@ -275,16 +288,15 @@ def cmd_label(args) -> int:
         lab = fox_neuwirth_label(tuple(tuple(_number(v) for v in p) for p in pts))
     except (ValueError, TypeError, OverflowError) as e:
         return _fail("bad points: %s" % e, EXIT_INPUT)
-    print(lab.to_string())
-    if args.output is not None:
-        out = {
-            "label": lab.to_string(),
-            "sigma": list(lab.sigma),
-            "seps": list(lab.seps),
-            "d": lab.d,
-            "n": lab.n,
-        }
-        _emit(jsonio.dumps(out), args.output)
+    out = {
+        "label": lab.to_string(),
+        "sigma": list(lab.sigma),
+        "seps": list(lab.seps),
+        "d": lab.d,
+        "n": lab.n,
+    }
+    _emit([lab.to_string() + "\n"], [] if args.output is None
+          else [(args.output, jsonio.dumps(out))])
     return EXIT_OK
 
 

@@ -124,10 +124,6 @@ class ConvexPolygon:
         return polygon_area(self.local)
 
     @property
-    def perimeter(self) -> float:
-        return polygon_perimeter(self.vertices)
-
-    @property
     def centroid(self) -> tuple[float, float]:
         # the moments are cubic in the coordinates, so they are taken on
         # local scaled by 2^-k to at most 1 in size, which is exact
@@ -151,16 +147,6 @@ class ConvexPolygon:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
-
-    def contains(self, point, eps: float = 1e-9) -> bool:
-        px, py = point
-        m = len(self.vertices)
-        for i in range(m):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % m]
-            if (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) < -eps:
-                return False
-        return True
 
 
 def clip_tagged(pts, tags, a, c, new_tag):

@@ -3,14 +3,6 @@ Python's shortest round-trip form, and no NaN or infinity."""
 from __future__ import annotations
 
 import json
-import math
-
-
-def format_real(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite number in output")
-    return repr(x)
 
 
 def dumps(obj) -> str:

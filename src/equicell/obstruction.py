@@ -21,7 +21,6 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .labels import CellLabel, InvalidLabelError
 from .poset import (KIND_COMPLEMENT, BudgetExceededError, _leq, boundary, charge,
                     resolve_budget)
 
@@ -53,20 +52,6 @@ class ObstructionReport:
     group: str
     map_exists: bool
     witness: RidgeOrbitCochain | None
-
-
-def ridge_orbit_index(ridge: CellLabel) -> int:
-    """Class index of a ridge: the position (1-based) of its lone d-1 separator."""
-    d = ridge.d
-    if d < 2:
-        raise InvalidLabelError("ridges need d >= 2")
-    if not ridge.is_cell:
-        raise InvalidLabelError("not a cell label")
-    low = [k for k, s in enumerate(ridge.seps) if s == d - 1]
-    rest_ok = all(s == d for k, s in enumerate(ridge.seps) if k not in low)
-    if len(low) != 1 or not rest_ok:
-        raise InvalidLabelError("label %s is not one dimension below the top" % ridge)
-    return low[0] + 1
 
 
 def binomial_gcd(n: int) -> int:
@@ -104,10 +89,6 @@ def prime_power(n: int, budget: int | None = None) -> tuple[int, int] | None:
         n //= p
         k += 1
     return (p, k) if n == 1 else None
-
-
-def is_prime_power(n: int) -> bool:
-    return prime_power(n) is not None
 
 
 def binomial_valuation(n: int, j: int, p: int) -> int:

@@ -478,14 +478,3 @@ def poset_csv_chunks(poset: FacePoset):
     yield from _filled("%d,%d," + "%d<%d " * (n - 1) + "%d", "\n", rows)
     yield "\n"
 
-
-def poset_from_json(data) -> FacePoset:
-    """Rebuild a poset from the JSON export (accepts text or parsed dict)."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    d, n, kind = data["d"], data["n"], data["kind"]
-    rows = np.array([e["sigma"] + e["seps"] for e in data["elements"]], dtype=np.int64)
-    poset = FacePoset(kind=kind, d=d, n=n, labels=rows.reshape(-1, 2 * n - 1),
-                      dims=[e["dim"] for e in data["elements"]], covers=data["covers"])
-    poset.elements  # builds each CellLabel, which validates its row
-    return poset

@@ -65,20 +65,30 @@ class Sites:
             raise ValueError("need at least one site")
         if not all(isfinite(x) and isfinite(y) for x, y in pts):
             raise ValueError("sites must be finite")
-        # sites closer than 1e-12 coincide, and are that close in x: in x
-        # order, each site meets the next ones only while the x gap allows
-        m = len(pts)
-        order = sorted(range(m), key=lambda k: pts[k][0])
+        # sites closer than 1e-12 coincide, and lie in one run of the x order
+        # whose steps are all below 1e-12; in the run sorted by y, each site
+        # meets the next ones only while the y gap allows
+        order = sorted(range(len(pts)), key=lambda k: pts[k][0])
+        xs = [pts[k][0] for k in order]
+        joined = [e for e, (u, v) in enumerate(zip(xs, xs[1:]), 1)
+                  if (v - u) * (v - u) < 1e-24]
+        runs = []   # [lo, hi): order[lo:hi] is a run of two or more sites
+        for e in joined:   # e joins the sites at e - 1 and e
+            if not (runs and runs[-1][1] == e):
+                runs.append([e - 1, e])
+            runs[-1][1] = e + 1
         close = []
-        for a, i in enumerate(order):
-            xi, yi = pts[i]
-            for b in range(a + 1, m):
-                j = order[b]
-                dx, dy = xi - pts[j][0], yi - pts[j][1]
-                if dx * dx >= 1e-24:
-                    break
-                if dx * dx + dy * dy < 1e-24:
-                    close.append((min(i, j), max(i, j)))
+        for lo, hi in runs:
+            run = sorted(order[lo:hi], key=lambda k: pts[k][1])
+            for a, i in enumerate(run):
+                xi, yi = pts[i]
+                for b in range(a + 1, len(run)):
+                    j = run[b]
+                    dx, dy = xi - pts[j][0], yi - pts[j][1]
+                    if dy * dy >= 1e-24:
+                        break
+                    if dx * dx + dy * dy < 1e-24:
+                        close.append((min(i, j), max(i, j)))
         if close:  # name the first pair by index
             raise ValueError("sites %d and %d coincide" % min(close))
 

@@ -5,8 +5,9 @@
 1e150 and offsets up to 1e15, clockwise, collinear, duplicate-vertex,
 degenerate and non-convex polygons, coincident and far sites, bad `n`,
 `tol` and `seed` values, and malformed JSON; `label` files with bad,
-non-finite and huge coordinates; and `complex` and `obstruction` runs with
-huge `n` or `d` and odd EQUICELL_BUDGET values.  Bad `--seed` and `--tol`
+non-finite and huge coordinates; `complex` and `obstruction` runs with
+huge `n` or `d` and odd EQUICELL_BUDGET values; and last, every subcommand
+with an output that cannot be written.  Bad `--seed` and `--tol`
 values are ones argparse accepts (a negative seed, a NaN tol); a value
 argparse itself refuses ends in its usage message, outside this contract.
 
@@ -318,6 +319,33 @@ def _obstruction_case(rng: random.Random, i: int) -> Case:
     return Case("obstruction-%d-n%d" % (i, min(n, 10 ** 6)), argv, env=env)
 
 
+UNWRITABLE = {   # argv of each subcommand, and its input file's contents
+    "complex": (["complex", "--d", "2", "--n", "3"], {}),
+    "obstruction": (["obstruction", "--n", "6", "--verify"], {}),
+    "label": (["label", "--input", "{dir}/in.json"], {"points": [[0, 0], [1, 0], [0, 1]]}),
+    "equipart": (["equipart", "--input", "{dir}/in.json"],
+                 {"mode": "weights", "polygon": SQUARE, "sites": [[0.25, 0.5], [0.6, 0.5]]}),
+}
+
+
+def _unwritable_cases() -> list:
+    # every subcommand with its --output under a regular file, at an existing
+    # directory and in a missing one; then an SVG that cannot be written,
+    # beside a good --output and beside JSON on stdout
+    cases = []
+    for command, (argv, doc) in UNWRITABLE.items():
+        for where, path in (("under-a-file", "{dir}/in.json/out"), ("at-a-directory", "{dir}"),
+                            ("in-a-missing-directory", "{dir}/missing/out")):
+            cases.append(Case("unwritable-%s-output-%s" % (command, where),
+                              argv + ["--output", path], {"in.json": json.dumps(doc).encode()}))
+    argv, doc = UNWRITABLE["equipart"]
+    for name, more in (("beside-output", ["--output", "{dir}/out.json"]), ("beside-stdout", [])):
+        cases.append(Case("unwritable-equipart-svg-" + name,
+                          argv + more + ["--svg", "{dir}/missing/out.svg"],
+                          {"in.json": json.dumps(doc).encode()}))
+    return cases
+
+
 def corpus(seed: int = SEED) -> list:
     """The fixed corpus: interleaved random cases of every kind with the
     hand-written bad `equipart` inputs and flags among them, then costlier
@@ -341,7 +369,7 @@ def corpus(seed: int = SEED) -> list:
     cases.append(_equipart("equalize-far-square-n5", {
         "mode": "equalize", "polygon": far, "n": 5, "seed": 0, "tol": 1e-6},
         (), far, EQUALIZE_SOLVE_TOL))
-    return cases
+    return cases + _unwritable_cases()
 
 
 class _Timeout(Exception):

@@ -7,8 +7,9 @@ construction that the backward pass must reproduce.
 It also holds scalar oracles for the cell complex, written apart from the
 library's row-wise code: `governing_row` and `cond_pair`, the pairwise face
 criterion one label pair at a time; `facet_incidence_vector`, a facet's
-ridge classes read off stored poset covers; and `ridge_cells`, the ridges
-picked out of all enumerated labels.
+ridge classes read off stored poset covers, each class by
+`ridge_orbit_index`, the position of the ridge's one lowered separator;
+and `ridge_cells`, the ridges picked out of all enumerated labels.
 
 The all-facet oracles check the S_n-orbit argument behind the library's
 one-facet incidence: `top_cells` lists all n! facets,
@@ -22,8 +23,8 @@ from math import dist
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from equicell import (CellLabel, ConvexPolygon, KIND_COMPLEMENT, PowerDiagram,
-                      enumerate_labels, ridge_orbit_index)
+from equicell import (CellLabel, ConvexPolygon, InvalidLabelError, KIND_COMPLEMENT,
+                      PowerDiagram, enumerate_labels)
 from equicell.geometry import (AREA_EPS, _merge_close, clip_tagged, polygon_area,
                                polygon_perimeter)
 from equicell.obstruction import _extended_gcd
@@ -121,6 +122,20 @@ def facet_coboundaries(d, n, cochain):
     return dict(zip(top_cells(d, n), counts @ cochain.values))
 
 
+def ridge_orbit_index(ridge: CellLabel) -> int:
+    """Class index of a ridge: the position (1-based) of its lone d-1 separator."""
+    d = ridge.d
+    if d < 2:
+        raise InvalidLabelError("ridges need d >= 2")
+    if not ridge.is_cell:
+        raise InvalidLabelError("not a cell label")
+    low = [k for k, s in enumerate(ridge.seps) if s == d - 1]
+    rest_ok = all(s == d for k, s in enumerate(ridge.seps) if k not in low)
+    if len(low) != 1 or not rest_ok:
+        raise InvalidLabelError("label %s is not one dimension below the top" % ridge)
+    return low[0] + 1
+
+
 def facet_incidence_vector(facet, poset):
     """Count boundary ridges of a facet by class, read off the poset covers."""
     n = facet.n
@@ -188,8 +203,8 @@ def random_convex_polygon(rng, points=10, scale=1.0, offset=(0.0, 0.0)):
 
 
 def boundary_distance(polygon, p):
-    """Distance from an interior point to the polygon boundary (negative
-    outside)."""
+    """Distance from an interior point p = (x, y) to the polygon boundary
+    (negative outside); x and y may also be arrays, one entry per point."""
     verts = polygon.vertices
     m = len(verts)
     best = np.inf
@@ -198,7 +213,7 @@ def boundary_distance(polygon, p):
         x1, y1 = verts[(i + 1) % m]
         edge = np.hypot(x1 - x0, y1 - y0)
         cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-        best = min(best, cross / edge)
+        best = np.minimum(best, cross / edge)
     return best
 
 
@@ -258,6 +273,25 @@ def coincident_pair(points):
             if dx * dx + dy * dy < 1e-24:
                 return i, j
     return None
+
+
+def x_order_coincident_pair(points):
+    """coincident_pair by the scan Sites ran before it cut the x order into
+    runs: in x order, each point meets the next ones only while the x gap
+    allows, so it is quadratic on a vertical line."""
+    m = len(points)
+    order = sorted(range(m), key=lambda k: points[k][0])
+    close = []
+    for a, i in enumerate(order):
+        xi, yi = points[i]
+        for b in range(a + 1, m):
+            j = order[b]
+            dx, dy = xi - points[j][0], yi - points[j][1]
+            if dx * dx >= 1e-24:
+                break
+            if dx * dx + dy * dy < 1e-24:
+                close.append((min(i, j), max(i, j)))
+    return min(close) if close else None
 
 
 def rigid_motion(angle, shift):

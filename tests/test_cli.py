@@ -391,6 +391,7 @@ class TestEquipart:
         res = run_cli("equipart", "--input", self.weights_fixture(tmp_path),
                       flag, str(target))
         assert res.returncode == 2
+        assert res.stdout == ""
         assert res.stderr.startswith("error: cannot write")
         assert len(res.stderr.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]

@@ -1,11 +1,14 @@
 """Tests for the outer site search that equalizes cell perimeters."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import support
-from equicell import (ConvexPolygon, Sites, WeightSolveError, equalize_perimeters,
-                      perimeter_spread, power_diagram, solve_equal_measure_weights)
+from equicell import (ConvexPolygon, Sites, WeightSolveError, area_jacobian,
+                      equalize_perimeters, perimeter_spread, power_diagram,
+                      solve_equal_measure_weights)
 from equicell import equalize
 from equicell.equalize import EqualizeError, _gauge_complement, site_jacobian
 
@@ -138,6 +141,24 @@ class TestSiteJacobian:
         assert there.weights == here.weights
         for moved, at_origin in zip(site_jacobian(there), site_jacobian(here)):
             assert np.array_equal(moved, at_origin)
+
+    def test_vertex_between_coincident_lines(self):
+        # a wall of cell 0 split at its midpoint: the new vertex lies between
+        # two edges on one line (det == 0), which moves it along itself only,
+        # so both Jacobians are the unsplit diagram's
+        diag, _ = solve_equal_measure_weights(SQUARE, ((0.2, 0.3), (0.7, 0.25), (0.5, 0.8)))
+        vs, tags = diag.outlines[0], diag.edge_tags[0]
+        e = next(e for e, t in enumerate(tags) if t >= 0)
+        p, q = vs[e], vs[(e + 1) % len(vs)]
+        split = replace(
+            diag,
+            outlines=(tuple(vs[:e + 1]) + ((0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])),)
+                      + tuple(vs[e + 1:]),) + diag.outlines[1:],
+            edge_tags=(tuple(tags[:e + 1]) + (tags[e],) + tuple(tags[e + 1:]),)
+            + diag.edge_tags[1:])
+        for got, want in zip(site_jacobian(split), site_jacobian(diag)):
+            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(area_jacobian(split) - area_jacobian(diag)).max() <= 1e-12
 
     def test_a_step_solves_only_its_trials(self, monkeypatch):
         # the log holds "J" per Jacobian, that is per Gauss-Newton step, and

@@ -10,12 +10,12 @@ import pytest
 import support
 from equicell import (BudgetExceededError, CellLabel, RidgeOrbitCochain, binomial_gcd,
                       binomial_valuation, coboundary_witness, enumerate_cells,
-                      expected_incidence_row, is_prime_power, obstruction_report,
-                      prime_power, ridge_orbit_index, verify_coboundary_on_complex)
+                      expected_incidence_row, obstruction_report, prime_power,
+                      verify_coboundary_on_complex)
 from equicell import obstruction
 from equicell.obstruction import facet_ridge_class_counts
 from equicell.poset import KIND_COMPLEMENT, face_matrix
-from support import facet_incidence_vector, ridge_cells, top_cells
+from support import facet_incidence_vector, ridge_cells, ridge_orbit_index, top_cells
 
 
 def carries_adding(a, b, p):
@@ -195,10 +195,8 @@ class TestPrimePower:
         assert prime_power(7) == (7, 1)
         assert prime_power(64) == (2, 6)
         assert prime_power(36) is None
-
-    def test_boolean_form(self):
-        assert is_prime_power(27)
-        assert not is_prime_power(30)
+        assert prime_power(27) is not None
+        assert prime_power(30) is None
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):

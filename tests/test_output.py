@@ -25,19 +25,25 @@ JSON_OUTPUTS = {
 }
 
 
+def csv_row(*reals):
+    """The CSV row that `equipart --format csv` writes for one site."""
+    site_x, site_y, weight, area, perimeter = reals
+    payload = {"sites": [[site_x, site_y]], "weights": [weight], "areas": [area],
+               "perimeters": [perimeter]}
+    return cli._payload_csv(payload).splitlines()[1]
+
+
 class TestJsonEncoding:
     def test_real_formatting(self):
-        assert jsonio.format_real(0.5) == "0.5"
-        assert jsonio.format_real(1.0) == "1.0"
-        assert jsonio.format_real(-0.0) == "-0.0"
-        assert jsonio.format_real(0.1) == "0.1"  # the shortest form
-        text = jsonio.format_real(1 / 3)
-        assert float(text) == 1 / 3  # that reads back exactly
+        row = csv_row(0.5, 1.0, -0.0, 0.1, 1 / 3)
+        # 0.1 in the shortest form, and 1/3 in a form that reads back exactly
+        assert row.split(",")[:5] == ["0", "0.5", "1.0", "-0.0", "0.1"]
+        assert float(row.split(",")[5]) == 1 / 3
 
     def test_rejects_non_finite(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
-                jsonio.format_real(bad)
+                csv_row(0.5, 0.5, 0.0, bad, 1.0)
             with pytest.raises(ValueError):
                 jsonio.dumps({"x": bad})
 

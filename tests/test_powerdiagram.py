@@ -58,6 +58,40 @@ class TestSitesWeights:
                     Sites(pts)
         assert verdicts == {True, False}
 
+    def test_degenerate_sets_match_the_x_order_scan(self):
+        rng = np.random.default_rng(151)
+        line = np.linspace(0.0, 1.0, 400)
+        sets = [rng.random((400, 2)),
+                # five clusters, each of 20 points 1e-14 to 1e-10 from its centre
+                (rng.random((5, 1, 2)) + 10.0 ** rng.uniform(-14, -10, (5, 20, 1))
+                 * rng.normal(size=(5, 20, 2))).reshape(-1, 2)]
+        for x, y in ((np.full(400, 0.5), line), (line, np.full(400, 0.5))):
+            sets.append(np.column_stack([x, y]))
+            duplicated = np.column_stack([x, y])
+            duplicated[rng.integers(400)] = duplicated[rng.integers(400)]
+            sets.append(duplicated)
+        # steps within a few ulp of 1e-12, along x, along y and diagonally
+        steps = 1e-12 * (1.0 + np.arange(-4, 5) * 2e-16)
+        for direction in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+            sets.append(np.cumsum(np.outer(steps, direction), axis=0))
+        # near the largest floats, where a difference overflows, and among
+        # the subnormals, where every point is within 1e-12 of every other
+        huge = rng.choice([-1.7e308, -1e300, 1e300, 1.7e308], (60, 2))
+        sets.append(huge * (1.0 + rng.integers(0, 3, (60, 2)) * 1e-15))
+        sets.append(rng.integers(0, 9, (30, 2)) * 5e-324)
+        sets.append(np.vstack([rng.integers(1, 9, (3, 2)) * 5e-324, rng.random((30, 2))]))
+        verdicts = set()
+        for pts in sets:
+            pts = tuple(map(tuple, rng.permutation(pts).tolist()))
+            want = support.x_order_coincident_pair(pts)
+            verdicts.add(want is None)
+            if want is None:
+                Sites(pts)
+            else:
+                with pytest.raises(ValueError, match="^sites %d and %d coincide$" % want):
+                    Sites(pts)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_site_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -117,12 +151,14 @@ class TestPowerDiagram:
             assert sum(pd.areas) == pytest.approx(poly.area, rel=1e-12)
             xs = np.array(sites)
             x0, y0, x1, y1 = poly.bbox
+            # 1e-9 over the shortest edge keeps every cross product above 1e-9
+            edges = np.diff(np.array(poly.vertices + poly.vertices[:1]), axis=0)
+            inner = 1e-9 / np.hypot(*edges.T).min()
             kept = []
             need = 5000
             while need > 0:
                 batch = rng.uniform((x0, y0), (x1, y1), size=(9000, 2))
-                mask = np.array([poly.contains(tuple(p), eps=-1e-9)
-                                 for p in batch])
+                mask = support.boundary_distance(poly, batch.T) > inner
                 kept.append(batch[mask])
                 need -= int(mask.sum())
             pts = np.concatenate(kept)[:5000]
@@ -132,12 +168,14 @@ class TestPowerDiagram:
             best = order[:, 0]
             rows = np.arange(len(pts))
             gap = power[rows, order[:, 1]] - power[rows, best]
-            for k in range(len(pts)):
-                if gap[k] < 1e-9:
-                    continue  # on a bisector, assignment is a tie
-                cell = pd.cells[int(best[k])]
-                assert cell is not None
-                assert cell.contains(tuple(pts[k]), eps=1e-9)
+            # gap < 1e-9: on a bisector, assignment is a tie; the cells lie in
+            # the unit square, so their edges are below sqrt(2), and a distance
+            # of -5e-10 keeps every cross product above -1e-9
+            for i, cell in enumerate(pd.cells):
+                mine = pts[(best == i) & (gap >= 1e-9)]
+                if len(mine):
+                    assert cell is not None
+                    assert (support.boundary_distance(cell, mine.T) >= -5e-10).all()
             total_samples += len(pts)
         assert total_samples >= 100000
 
@@ -236,7 +274,7 @@ def outside_sites(rng, polygon, n):
     while len(out) < n:
         p = (float(rng.uniform(x0 - dx / 2, x1 + dx / 2)),
              float(rng.uniform(y0 - dy / 2, y1 + dy / 2)))
-        if not polygon.contains(p, eps=-1e-6):
+        if support.boundary_distance(polygon, p) < 0:
             out.append(p)
     return tuple(out)
 

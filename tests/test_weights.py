@@ -10,6 +10,7 @@ import support
 from equicell import (ConvexPolygon, Sites, WeightSolveError, area_jacobian,
                       equalize_perimeters, power_diagram, solve_equal_measure_weights)
 from equicell import weights as weight_solver
+from equicell.geometry import polygon_perimeter
 from equicell.weights import _voronoi_seed
 
 SQUARE = support.UNIT_SQUARE
@@ -497,6 +498,6 @@ class TestTranslatedPolygon:
             near, _ = solve_equal_measure_weights(poly, sites)
             far = power_diagram(ConvexPolygon(self.moved(poly.vertices, offset)),
                                 self.moved(sites, offset), near.weights)
-            bound = 4.0 * np.spacing(offset) * poly.perimeter
+            bound = 4.0 * np.spacing(offset) * polygon_perimeter(poly.vertices)
             assert np.abs(np.subtract(far.areas, near.areas)).max() <= bound
             assert far.polygon.area == pytest.approx(poly.area, abs=bound)
