@@ -54,7 +54,8 @@ def _emit(stdout, files=()):
     (path, text) pairs with text a string or an iterable of chunks.  Each file
     is first written whole to a temp file beside it; if one cannot be, the
     temps made so far are removed and OutputError is raised before stdout is
-    touched.  Then stdout is written, then each device or pipe named, such as
+    touched.  Then stdout is written and flushed, so that a closed stdout
+    fails here under any buffering, then each device or pipe named, such as
     /dev/stdout, directly, and last each temp is renamed over its target
     (through a symlink, the file it names)."""
     temps, devices = [], []
@@ -74,6 +75,7 @@ def _emit(stdout, files=()):
                 f.writelines(chunks)
         path = None   # an error writing stdout is main's to report
         sys.stdout.writelines(stdout)
+        sys.stdout.flush()
         for path, chunks in devices:
             with open(path, "w") as f:
                 f.writelines(chunks)
@@ -183,8 +185,7 @@ def _diagram_payload(diag, iterations, converged) -> dict:
     return {
         "sites": [list(p) for p in diag.sites.points],
         "weights": list(diag.weights),
-        "cells": [([list(v) for v in c.vertices] if c is not None else None)
-                  for c in diag.cells],
+        "cells": [([list(v) for v in c] if c is not None else None) for c in diag.cells],
         "areas": list(diag.areas),
         "perimeters": list(diag.perimeters),
         "spread": perimeter_spread(diag),

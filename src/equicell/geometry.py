@@ -186,11 +186,3 @@ def clip_tagged(pts, tags, a, c, new_tag):
     if len(out_p) < 3 or polygon_area(out_p) < AREA_EPS:
         return [], []
     return out_p, out_t
-
-
-def _clipped_polygon(pts) -> ConvexPolygon:
-    # no validation: clip_tagged results are merged, have >= 3 vertices and
-    # area >= AREA_EPS, and are convex by construction
-    cell = object.__new__(ConvexPolygon)
-    object.__setattr__(cell, "vertices", tuple(pts))
-    return cell

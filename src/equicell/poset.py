@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
@@ -156,11 +155,6 @@ def _label_rows(perms, words, keep) -> np.ndarray:
     return np.concatenate([perms[i], words[j]], axis=1)
 
 
-def _cell_labels(rows: np.ndarray, d: int) -> list[CellLabel]:
-    n = (rows.shape[1] + 1) // 2
-    return [CellLabel(r[:n], r[n:], d) for r in rows.tolist()]
-
-
 def _lexrank(perms: np.ndarray) -> np.ndarray:
     """Rank of each row among the permutations of its letters, in
     lexicographic order: its Lehmer code read in the factorial base."""
@@ -176,18 +170,19 @@ def enumerate_labels(d: int, n: int, kind: str = KIND_COMPLEMENT,
     """All labels of the given kind, ordered lexicographically by (sigma, seps)."""
     _check_args(d, n, kind)
     _check_budget(d, n, kind, budget)
-    return _cell_labels(_label_rows(*_grid(d, n, kind)), d)
+    return [CellLabel(r[:n], r[n:], d) for r in _label_rows(*_grid(d, n, kind)).tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class FacePoset:
-    """Graded face poset, held as arrays.
+    """Graded face poset, held as the arrays `enumerate_cells` builds.
 
-    labels has one row (sigma, seps) per element, in lexicographic order;
+    labels has one row (sigma, seps) per element, in lexicographic order, the
+    order in which `enumerate_labels` lists them as CellLabels; the int64
     dims holds the dimensions, so np.flatnonzero(dims == k) lists dimension k.
-    covers is an (M, 2) array of index pairs (lo, hi), sorted, with dim(hi) =
-    dim(lo) + 1 and lo a face of hi: covers[covers[:, 1] == i, 0] are the
-    lower covers of element i.  `elements` builds the CellLabels on first use.
+    covers is an (M, 2) int64 array of index pairs (lo, hi), sorted, with
+    dim(hi) = dim(lo) + 1 and lo a face of hi: covers[covers[:, 1] == i, 0]
+    are the lower covers of element i.
     """
 
     kind: str
@@ -196,23 +191,6 @@ class FacePoset:
     labels: np.ndarray
     dims: np.ndarray
     covers: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels))
-        object.__setattr__(self, "dims", np.asarray(self.dims, dtype=np.int64))
-        object.__setattr__(self, "covers", np.asarray(self.covers, dtype=np.int64)
-                           .reshape(-1, 2))
-
-    def __eq__(self, other):
-        if not isinstance(other, FacePoset):
-            return NotImplemented
-        return ((self.kind, self.d, self.n) == (other.kind, other.d, other.n)
-                and all(np.array_equal(getattr(self, a), getattr(other, a))
-                        for a in ("labels", "dims", "covers")))
-
-    @cached_property
-    def elements(self) -> tuple[CellLabel, ...]:
-        return tuple(_cell_labels(self.labels, self.d))
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.dims).tolist())

@@ -39,13 +39,11 @@ sites on (0.4-0.5 at 31).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import dist, inf, isfinite
 
 import numpy as np
 
-from .geometry import (ConvexPolygon, _clipped_polygon, clip_tagged, polygon_area,
-                       polygon_perimeter)
+from .geometry import ConvexPolygon, clip_tagged, polygon_area, polygon_perimeter
 
 SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
 SKIP_FROM = 12       # fewer sites: thresholds save no time over index order
@@ -79,7 +77,14 @@ class Sites:
             runs[-1][1] = e + 1
         close = []
         for lo, hi in runs:
-            run = sorted(order[lo:hi], key=lambda k: pts[k][1])
+            # identical points share an x and keep index order in the run:
+            # each is scanned once, by its first index, which pairs with every
+            # later copy, so the least pair is still among those listed
+            first = {}
+            for k in order[lo:hi]:
+                if first.setdefault(pts[k], k) != k:
+                    close.append((first[pts[k]], k))
+            run = sorted(first.values(), key=lambda k: pts[k][1])
             for a, i in enumerate(run):
                 xi, yi = pts[i]
                 for b in range(a + 1, len(run)):
@@ -105,8 +110,8 @@ class PowerDiagram:
     edge_tags[i][e] names the line that edge e of cell i (from vertex e to
     vertex e + 1) lies on: the neighbour j across a wall, or -k - 1 for
     polygon edge k.  areas and perimeters are measured on the outlines, and
-    cells[i] is outline i moved back to absolute coordinates (None for an
-    empty cell).
+    cells[i] is outline i moved back to absolute coordinates, a tuple of
+    (x, y) tuples, or None for an empty cell.
     """
 
     polygon: ConvexPolygon
@@ -121,10 +126,10 @@ class PowerDiagram:
     def n(self) -> int:
         return len(self.sites)
 
-    @cached_property
-    def cells(self) -> tuple[ConvexPolygon | None, ...]:
+    @property
+    def cells(self) -> tuple[tuple[tuple[float, float], ...] | None, ...]:
         ox, oy = self.polygon.vertices[0]
-        return tuple(_clipped_polygon([(x + ox, y + oy) for x, y in pts]) if pts else None
+        return tuple(tuple((x + ox, y + oy) for x, y in pts) if pts else None
                      for pts in self.outlines)
 
 

@@ -41,7 +41,7 @@ def render_power_diagram_svg(diagram: PowerDiagram) -> str:
             continue
         lines.append('<polygon points="%s" fill="%s" fill-opacity="0.65" '
                      'stroke="#2f2f2f" stroke-width="1"/>'
-                     % (pts_attr(cell.vertices), PALETTE[i % len(PALETTE)]))
+                     % (pts_attr(cell), PALETTE[i % len(PALETTE)]))
     lines.append('<polygon points="%s" fill="none" stroke="#000000" '
                  'stroke-width="2"/>' % pts_attr(diagram.polygon.vertices))
     for px, py in diagram.sites.points:

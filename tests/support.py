@@ -38,9 +38,14 @@ def as_tuples(arr):
     return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
 
 
+def poset_labels(poset):
+    """The CellLabels of a poset's elements, in its order."""
+    return enumerate_labels(poset.d, poset.n, poset.kind)
+
+
 def order_matrix(poset):
     """Reflexive boolean matrix L with L[i, j] = (element i <= element j)."""
-    els = list(poset.elements)
+    els = poset_labels(poset)
     mat = face_matrix(els, els, poset.kind)
     np.fill_diagonal(mat, True)
     return mat
@@ -145,8 +150,8 @@ def facet_incidence_vector(facet, poset):
         raise ValueError("expected a top cell of a cell-kind poset")
     counts = [0] * (n - 1)
     lower = np.flatnonzero(poset.covers[:, 1] == i[0])
-    for lo in poset.covers[lower, 0].tolist():
-        counts[ridge_orbit_index(poset.elements[lo]) - 1] += 1
+    for row in poset.labels[poset.covers[lower, 0]].tolist():
+        counts[ridge_orbit_index(CellLabel(row[:n], row[n:], facet.d)) - 1] += 1
     return tuple(counts)
 
 
@@ -157,9 +162,10 @@ def check_partial_order(poset, sample_rng=None):
     scalar predicate on a random sample of pairs.
     """
     mat = order_matrix(poset)
-    size = len(poset.elements)
+    els = poset_labels(poset)
+    size = len(els)
     # reflexivity comes through the scalar predicate as well
-    for lab in poset.elements:
+    for lab in els:
         assert scalar_leq(poset, lab, lab)
     both = mat & mat.T
     assert not (both & ~np.eye(size, dtype=bool)).any(), "antisymmetry failed"
@@ -173,14 +179,14 @@ def check_partial_order(poset, sample_rng=None):
     for _ in range(min(200, size * size)):
         i = int(rng.integers(size))
         j = int(rng.integers(size))
-        want = scalar_leq(poset, poset.elements[i], poset.elements[j])
+        want = scalar_leq(poset, els[i], els[j])
         assert bool(mat[i, j]) == want, f"matrix/scalar mismatch at ({i},{j})"
 
 
 def check_diamond(poset):
     """Assert every closed interval of length 2 has exactly 2 midpoints."""
     mat = order_matrix(poset)
-    size = len(poset.elements)
+    size = len(poset.labels)
     dims = np.array(poset.dims)
     strict = mat & ~np.eye(size, dtype=bool)
     checked = 0

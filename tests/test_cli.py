@@ -154,7 +154,8 @@ class TestComplex:
         # the CSV is far larger than a pipe buffer, so the write fails
         # once the reader has gone
         import os
-        env = {k: v for k, v in os.environ.items() if k != "EQUICELL_BUDGET"}
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("EQUICELL_BUDGET", "PYTHONUNBUFFERED")}
         proc = subprocess.Popen(
             [sys.executable, "-m", "equicell", "complex", "--d", "2", "--n", "6",
              "--format", "csv"],
@@ -815,3 +816,37 @@ class TestLabel:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
         assert len(res.stderr.splitlines()) == 1
+
+
+CLOSED_STDOUT_RUNS = {
+    "complex": ["--d", "2", "--n", "4", "--output"],
+    "obstruction": ["--n", "6", "--output"],
+    "label": ["--input", "{tmp}/pts.json", "--output"],
+    # with --output equipart prints nothing, so its file is the SVG
+    "equipart": ["--input", "{tmp}/problem.json", "--svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_STDOUT_RUNS))
+def test_closed_stdout_under_block_buffering(tmp_path, command):
+    # stdout is a pipe whose read end is closed before the run starts, and
+    # PYTHONUNBUFFERED is unset, so the few lines printed sit in stdout's
+    # buffer unless the run flushes them before it renames its file
+    import os
+    write_json(tmp_path / "pts.json", {"points": [[0, 0], [1, 0], [0, 1]]})
+    write_json(tmp_path / "problem.json", {"mode": "weights", "polygon": SQUARE,
+                                           "sites": [[0.25, 0.5], [0.6, 0.5]]})
+    args = [a.format(tmp=tmp_path) for a in CLOSED_STDOUT_RUNS[command]]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("EQUICELL_BUDGET", "PYTHONUNBUFFERED")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "equicell", command, *args, str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "pts.json"]

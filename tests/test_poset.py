@@ -145,19 +145,19 @@ class TestEuler:
 class TestPosetStructure:
     def test_hexagon_complex_shape(self):
         p = enumerate_cells(2, 3)
-        assert len(p.elements) == 24
+        assert len(p.labels) == 24
         assert len(p.covers) == 60
         assert p.f_vector() == (6, 12, 6)
 
     def test_line_stratification_shape(self):
         p = enumerate_cells(1, 3, KIND_STRATIFICATION)
-        assert len(p.elements) == 13
+        assert len(p.labels) == 13
         assert p.f_vector() == (1, 6, 6)
         assert len(p.covers) == 18
 
     def test_zero_dimensional_complex_has_no_covers(self):
         p = enumerate_cells(1, 3)
-        assert len(p.elements) == 6
+        assert len(p.labels) == 6
         assert support.as_tuples(p.covers) == ()
 
     def test_cover_validation_passes(self):
@@ -177,9 +177,8 @@ class TestPosetStructure:
         lo = dims.index(0)
         hi = next(i for i in range(len(dims))
                   if dims[i] == 1 and (lo, i) not in set(covers))
-        broken = replace(p, covers=covers + ((lo, hi),))
         with pytest.raises(ValueError):
-            validate_covers(broken)
+            validate_covers(broken(p, covers + ((lo, hi),)))
 
     def test_partial_order_axioms(self):
         rng = np.random.default_rng(5)
@@ -197,11 +196,12 @@ class TestPosetStructure:
 
     def test_each_ridge_in_three_facets(self):
         p = enumerate_cells(2, 3)
-        idx = {lab: i for i, lab in enumerate(p.elements)}
-        uppers = {i: [] for i in range(len(p.elements))}
+        els = support.poset_labels(p)
+        idx = {lab: i for i, lab in enumerate(els)}
+        uppers = {i: [] for i in range(len(els))}
         for lo, hi in p.covers:
             uppers[lo].append(hi)
-        for lab in p.elements:
+        for lab in els:
             if p.dims[idx[lab]] == 1:
                 assert len(uppers[idx[lab]]) == 3
 
@@ -209,11 +209,11 @@ class TestPosetStructure:
 def dense_covers(d, n, kind=KIND_COMPLEMENT):
     """Covers of the poset from the dense face test on adjacent layers."""
     p = enumerate_cells(d, n, kind)
+    els = enumerate_labels(d, n, kind)
     covers = []
     for k in range(max(p.dims)):
         los, his = (np.flatnonzero(p.dims == j).tolist() for j in (k, k + 1))
-        mat = face_matrix([p.elements[i] for i in los],
-                          [p.elements[i] for i in his], kind)
+        mat = face_matrix([els[i] for i in los], [els[i] for i in his], kind)
         covers += [(los[a], his[b]) for a, b in zip(*np.nonzero(mat))]
     return tuple(sorted(covers))
 
@@ -260,7 +260,8 @@ class TestStrataCovers:
 
 
 def broken(p, covers):
-    return replace(p, covers=tuple(covers))
+    """p with its covers replaced by the given pairs, as an (M, 2) int64 array."""
+    return replace(p, covers=np.array(covers, dtype=np.int64).reshape(-1, 2))
 
 
 def shuffled(covers):
@@ -452,7 +453,7 @@ def generic_json(p):
     return json.dumps({
         "d": p.d, "n": p.n, "kind": p.kind,
         "elements": [{"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
-                     for lab, dim in zip(p.elements, p.dims.tolist())],
+                     for lab, dim in zip(support.poset_labels(p), p.dims.tolist())],
         "covers": [list(pair) for pair in p.covers.tolist()]}, indent=2) + "\n"
 
 
@@ -462,10 +463,11 @@ class TestColumnar:
                                           (2, 3, KIND_STRATIFICATION)])
     def test_face_test_matches_scalar_on_all_pairs(self, d, n, kind):
         p = enumerate_cells(d, n, kind)
+        els = enumerate_labels(d, n, kind)
         gov = gov_rows(p.labels)
-        oracle = [support.governing_row(lab) for lab in p.elements]
+        oracle = [support.governing_row(lab) for lab in els]
         assert [tuple(g.ravel().tolist()) for g in gov] == oracle
-        for lab, row in zip(p.elements, oracle):
+        for lab, row in zip(els, oracle):
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
                     if a != b:
@@ -474,17 +476,15 @@ class TestColumnar:
                             ("before", j) if j else ("after", row[(b - 1) * n + a - 1]))
         size = len(p.labels)
         x, y = np.repeat(np.arange(size), size), np.tile(np.arange(size), size)
-        want = [support.cond_pair(p.elements[i], p.elements[j])
-                for i, j in zip(x.tolist(), y.tolist())]
+        want = [support.cond_pair(els[i], els[j]) for i, j in zip(x.tolist(), y.tolist())]
         assert cond_rows(gov[x], gov[y]).tolist() == want
         # lower x[k] under upper y[k]: cond(upper, lower) for cells,
         # cond(lower, upper) for strata, read off the same all-pairs table
         scalar = (np.array(want).reshape(size, size).T.ravel().tolist()
                   if kind == KIND_COMPLEMENT else want)
         assert _leq(kind, p.labels, x, y, chunk=1000).tolist() == scalar
-        pred = [is_face_complement(p.elements[i], p.elements[j])
-                if kind == KIND_COMPLEMENT else
-                is_face_stratification(p.elements[j], p.elements[i])
+        pred = [is_face_complement(els[i], els[j]) if kind == KIND_COMPLEMENT
+                else is_face_stratification(els[j], els[i])
                 for i, j in zip(x.tolist(), y.tolist())]
         assert pred == scalar
 
@@ -494,11 +494,11 @@ class TestColumnar:
         # the covers and random pairs, shuffled, some repeated, most of them
         # reaching across gov chunks, against the scalar criterion
         p = enumerate_cells(2, 4, kind)
+        els = enumerate_labels(2, 4, kind)
         rng = np.random.default_rng(0)
         pairs = np.concatenate([p.covers, rng.integers(len(p.labels), size=(2000, 2))])
         pairs = np.concatenate([pairs, pairs[:300]])[rng.permutation(len(pairs) + 300)]
-        want = [support.scalar_leq(p, p.elements[i], p.elements[j])
-                for i, j in pairs.tolist()]
+        want = [support.scalar_leq(p, els[i], els[j]) for i, j in pairs.tolist()]
         assert set(want) == {True, False}
         assert _leq(kind, p.labels, pairs[:, 0], pairs[:, 1], chunk=7).tolist() == want
 
@@ -511,17 +511,32 @@ class TestColumnar:
         text = "".join(poset_json_chunks(p))
         assert text == generic_json(p)
         rows = ["%d,%d,%s" % (i, dim, lab.to_string())
-                for i, (lab, dim) in enumerate(zip(p.elements, p.dims.tolist()))]
+                for i, (lab, dim) in enumerate(zip(enumerate_labels(d, n, kind),
+                                                   p.dims.tolist()))]
         assert "".join(poset_csv_chunks(p)) == "\n".join(["index,dim,label"] + rows) + "\n"
+
+    @pytest.mark.parametrize("d,n,kind,m", [(2, 4, KIND_COMPLEMENT, 864),
+                                            (2, 3, KIND_STRATIFICATION, 102),
+                                            (1, 3, KIND_COMPLEMENT, 0)])
+    def test_build_gives_int64_dims_and_cover_pairs(self, d, n, kind, m):
+        # the poset takes its arrays as enumerate_cells builds them, with no
+        # coercion, so the build itself must give these dtypes and shapes
+        p = enumerate_cells(d, n, kind)
+        assert p.dims.dtype == np.int64 and p.dims.shape == (len(p.labels),)
+        assert p.covers.dtype == np.int64 and p.covers.shape == (m, 2)
+        assert "".join(poset_json_chunks(p)) == generic_json(p)
 
     def test_labels_built_only_on_request(self):
         p = enumerate_cells(2, 4)
         assert p.f_vector() == (24, 72, 72, 24) and p.euler_characteristic() == 0
         validate_covers(p)
         assert "".join(poset_csv_chunks(p)) and "".join(poset_json_chunks(p))
-        assert "elements" not in vars(p)
-        assert len(p.elements) == len(p.labels) == 192
-        assert p.elements == tuple(enumerate_labels(2, 4))
+        # the poset holds only the fields its build set; enumerate_labels
+        # lists the same labels as CellLabels, in the same order
+        assert set(vars(p)) == {"kind", "d", "n", "labels", "dims", "covers"}
+        labels = enumerate_labels(2, 4)
+        assert len(labels) == 192
+        assert [lab.sigma + lab.seps for lab in labels] == list(map(tuple, p.labels.tolist()))
 
     @pytest.mark.parametrize("d,n,kind", [(2, 5, KIND_COMPLEMENT), (3, 4, KIND_COMPLEMENT),
                                           (1, 5, KIND_STRATIFICATION),

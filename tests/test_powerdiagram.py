@@ -70,6 +70,14 @@ class TestSitesWeights:
             duplicated = np.column_stack([x, y])
             duplicated[rng.integers(400)] = duplicated[rng.integers(400)]
             sets.append(duplicated)
+        # clusters of identical points: among points 1e-13 to 1e-11 from
+        # them, and as two groups of copies, interleaved, 5e-13 or 2e-12 apart
+        centre = rng.random(2)
+        near = centre + 10.0 ** rng.uniform(-13, -11, (60, 1)) * rng.normal(size=(60, 2))
+        sets.append(np.vstack([np.tile(centre, (60, 1)), near, rng.random((20, 2))]))
+        for gap in (5e-13, 2e-12):
+            pair = np.vstack([centre, centre + gap])
+            sets.append(np.vstack([np.tile(pair, (100, 1)), rng.random((20, 2))]))
         # steps within a few ulp of 1e-12, along x, along y and diagonally
         steps = 1e-12 * (1.0 + np.arange(-4, 5) * 2e-16)
         for direction in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
@@ -104,13 +112,13 @@ class TestPowerDiagram:
         assert pd.areas == pytest.approx((0.5, 0.5), abs=1e-14)
         assert pd.perimeters == pytest.approx((3.0, 3.0), abs=1e-14)
         left = ConvexPolygon(((0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (0.0, 1.0)))
-        assert support.vertex_set_close(pd.cells[0], left, 1e-12)
+        assert support.vertex_set_close(ConvexPolygon(pd.cells[0]), left, 1e-12)
 
     def test_weighted_split_rebalances(self):
         w = (0.02625, -0.02625)
         pd = power_diagram(SQUARE, ((0.25, 0.5), (0.6, 0.5)), w)
         assert pd.areas == pytest.approx((0.5, 0.5), abs=1e-12)
-        for v in pd.cells[0].vertices:
+        for v in pd.cells[0]:
             assert v[0] <= 0.5 + 1e-12
 
     def test_weight_shift_invariance(self):
@@ -125,7 +133,7 @@ class TestPowerDiagram:
             if ca is None or cb is None:
                 assert ca is cb
                 continue
-            assert support.vertex_set_close(ca, cb, 1e-9)
+            assert support.vertex_set_close(ConvexPolygon(ca), ConvexPolygon(cb), 1e-9)
 
     def test_coincident_sites_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +183,8 @@ class TestPowerDiagram:
                 mine = pts[(best == i) & (gap >= 1e-9)]
                 if len(mine):
                     assert cell is not None
-                    assert (support.boundary_distance(cell, mine.T) >= -5e-10).all()
+                    assert (support.boundary_distance(ConvexPolygon(cell), mine.T)
+                            >= -5e-10).all()
             total_samples += len(pts)
         assert total_samples >= 100000
 
@@ -243,8 +252,8 @@ class TestEquivariance:
                 if ca is None or cb is None:
                     assert ca is cb
                     continue
-                image = ConvexPolygon(tuple(move(v) for v in ca.vertices))
-                assert support.vertex_set_close(image, cb, 1e-9)
+                image = ConvexPolygon(tuple(move(v) for v in ca))
+                assert support.vertex_set_close(image, ConvexPolygon(cb), 1e-9)
 
     def test_relabeling_sites(self):
         rng = np.random.default_rng(71)
@@ -261,7 +270,7 @@ class TestEquivariance:
             if ca is None or cb is None:
                 assert ca is cb
                 continue
-            assert support.vertex_set_close(ca, cb, 1e-9)
+            assert support.vertex_set_close(ConvexPolygon(ca), ConvexPolygon(cb), 1e-9)
             assert pd2.areas[new_i] == pytest.approx(pd.areas[old_i], rel=1e-9)
 
 
@@ -352,7 +361,7 @@ class TestSkippedClips:
         rng = np.random.default_rng(360)
         poly = support.random_convex_polygon(rng)
         one = self.assert_exact(poly, ((0.3, 0.4),))
-        assert one.cells[0] == poly
+        assert ConvexPolygon(one.cells[0]) == poly
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)))
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (0.05, -0.05))
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (3.0, -3.0))
@@ -481,9 +490,10 @@ class TestThresholdOrder:
 
 class TestCellsAreClipResults:
     """Cells are the clipped vertex lists moved back by the polygon's first
-    vertex, wrapped without validating them again: validation would change
-    nothing, and the outlines, edge tags and perimeters are those of
-    all-pairs clipping, the perimeters measured with polygon_perimeter."""
+    vertex, as tuples of (x, y) float tuples that ConvexPolygon validates
+    and keeps unchanged for these polygons near the origin, and the
+    outlines, edge tags and perimeters are those of all-pairs clipping, the
+    perimeters measured with polygon_perimeter."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40, 80])
     def test_cells_pass_validation_unchanged(self, n):
@@ -503,9 +513,9 @@ class TestCellsAreClipResults:
                 if cell is None:
                     assert pts == ()
                 else:
-                    assert isinstance(cell, ConvexPolygon)
-                    assert ConvexPolygon(cell.vertices) == cell
-                    assert cell.vertices == tuple((x + ox, y + oy) for x, y in pts)
+                    assert all(type(x) is float and type(y) is float for x, y in cell)
+                    assert ConvexPolygon(cell).vertices == cell
+                    assert cell == tuple((x + ox, y + oy) for x, y in pts)
 
 
 class TestSupport:

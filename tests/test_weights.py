@@ -191,7 +191,7 @@ class TestSolve:
         pd, iterations = solve_equal_measure_weights(SQUARE, (site,), w0=w0)
         assert pd.weights == (0.0,)
         assert iterations == 0 and support.area_residual(pd) == 0.0
-        assert pd.cells == (SQUARE,)
+        assert pd.cells == (SQUARE.vertices,)
 
     def test_single_site_checks_w0_length(self):
         with pytest.raises(ValueError, match="one entry per site"):
