@@ -39,7 +39,8 @@ sites on (0.4-0.5 at 31).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import dist, inf, isfinite
+from itertools import product
+from math import dist, floor, inf, isfinite
 
 import numpy as np
 
@@ -48,6 +49,13 @@ from .geometry import ConvexPolygon, clip_tagged, polygon_area, polygon_perimete
 SKIP_MARGIN = 1e-9   # relative slack of the skip test, far above its rounding
 SKIP_FROM = 12       # fewer sites: thresholds save no time over index order
 _BLOCK = 32          # sites per numpy block of skip thresholds
+
+
+def _cell(c):
+    """A coordinate's cell in a grid of spacing 2^-39 (about 1.8e-12).  A
+    float of size 2^14 or more is 2^-39 or more from every other float, so
+    there a coordinate is its own cell: sites closer than 1e-12 share it."""
+    return floor(c * 2**39) if -2**14 < c < 2**14 else c
 
 
 @dataclass(frozen=True)
@@ -63,39 +71,31 @@ class Sites:
             raise ValueError("need at least one site")
         if not all(isfinite(x) and isfinite(y) for x, y in pts):
             raise ValueError("sites must be finite")
-        # sites closer than 1e-12 coincide, and lie in one run of the x order
-        # whose steps are all below 1e-12; in the run sorted by y, each site
-        # meets the next ones only while the y gap allows
+        # sites closer than 1e-12 coincide.  They are joined by steps below
+        # 1e-12 in the x order, and lie in the same or adjacent cells of a
+        # 2^-39 grid (_cell).  The least pair is the first site with a close
+        # neighbour, with its least one.  A site without one is 1e-12 from
+        # every other, so few such sites meet any cell: the scan is linear.
         order = sorted(range(len(pts)), key=lambda k: pts[k][0])
         xs = [pts[k][0] for k in order]
-        joined = [e for e, (u, v) in enumerate(zip(xs, xs[1:]), 1)
-                  if (v - u) * (v - u) < 1e-24]
-        runs = []   # [lo, hi): order[lo:hi] is a run of two or more sites
-        for e in joined:   # e joins the sites at e - 1 and e
-            if not (runs and runs[-1][1] == e):
-                runs.append([e - 1, e])
-            runs[-1][1] = e + 1
-        close = []
-        for lo, hi in runs:
-            # identical points share an x and keep index order in the run:
-            # each is scanned once, by its first index, which pairs with every
-            # later copy, so the least pair is still among those listed
-            first = {}
-            for k in order[lo:hi]:
-                if first.setdefault(pts[k], k) != k:
-                    close.append((first[pts[k]], k))
-            run = sorted(first.values(), key=lambda k: pts[k][1])
-            for a, i in enumerate(run):
-                xi, yi = pts[i]
-                for b in range(a + 1, len(run)):
-                    j = run[b]
+        near = {order[e + s] for e, (u, v) in enumerate(zip(xs, xs[1:]))
+                if (v - u) * (v - u) < 1e-24 for s in (0, 1)}
+        if not near:
+            return
+        grid = {}
+        for k in near:
+            grid.setdefault((_cell(pts[k][0]), _cell(pts[k][1])), []).append(k)
+        for i in sorted(near):
+            xi, yi = pts[i]
+            cx, cy = _cell(xi), _cell(yi)
+            close = []
+            for cell in product((cx - 1, cx, cx + 1), (cy - 1, cy, cy + 1)):
+                for j in grid.get(cell, ()):
                     dx, dy = xi - pts[j][0], yi - pts[j][1]
-                    if dy * dy >= 1e-24:
-                        break
-                    if dx * dx + dy * dy < 1e-24:
-                        close.append((min(i, j), max(i, j)))
-        if close:  # name the first pair by index
-            raise ValueError("sites %d and %d coincide" % min(close))
+                    if dx * dx + dy * dy < 1e-24 and j != i:
+                        close.append(j)
+            if close:
+                raise ValueError("sites %d and %d coincide" % (i, min(close)))
 
     def __len__(self):
         return len(self.points)

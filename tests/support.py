@@ -38,14 +38,9 @@ def as_tuples(arr):
     return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
 
 
-def poset_labels(poset):
-    """The CellLabels of a poset's elements, in its order."""
-    return enumerate_labels(poset.d, poset.n, poset.kind)
-
-
 def order_matrix(poset):
     """Reflexive boolean matrix L with L[i, j] = (element i <= element j)."""
-    els = poset_labels(poset)
+    els = enumerate_labels(poset.d, poset.n, poset.kind)
     mat = face_matrix(els, els, poset.kind)
     np.fill_diagonal(mat, True)
     return mat
@@ -162,7 +157,7 @@ def check_partial_order(poset, sample_rng=None):
     scalar predicate on a random sample of pairs.
     """
     mat = order_matrix(poset)
-    els = poset_labels(poset)
+    els = enumerate_labels(poset.d, poset.n, poset.kind)
     size = len(els)
     # reflexivity comes through the scalar predicate as well
     for lab in els:

@@ -850,3 +850,21 @@ def test_closed_stdout_under_block_buffering(tmp_path, command):
     assert res.returncode == 2
     assert res.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "pts.json"]
+
+
+def test_device_output_follows_stdout_under_block_buffering(tmp_path):
+    # with PYTHONUNBUFFERED unset a piped stdout is block-buffered; the
+    # summary is flushed before the JSON goes to /dev/stdout, so it comes first
+    import os
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("EQUICELL_BUDGET", "PYTHONUNBUFFERED")}
+    res = subprocess.run(
+        [sys.executable, "-m", "equicell", "complex", "--d", "2", "--n", "3",
+         "--output", "/dev/stdout"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0
+    assert res.stderr == ""
+    summary = run_cli("complex", "--d", "2", "--n", "3").stdout
+    run_cli("complex", "--d", "2", "--n", "3", "--output", str(tmp_path / "c.json"))
+    assert summary.startswith("kind=complement d=2 n=3\n")
+    assert res.stdout == summary + (tmp_path / "c.json").read_text()

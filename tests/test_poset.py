@@ -196,7 +196,7 @@ class TestPosetStructure:
 
     def test_each_ridge_in_three_facets(self):
         p = enumerate_cells(2, 3)
-        els = support.poset_labels(p)
+        els = enumerate_labels(p.d, p.n, p.kind)
         idx = {lab: i for i, lab in enumerate(els)}
         uppers = {i: [] for i in range(len(els))}
         for lo, hi in p.covers:
@@ -450,10 +450,11 @@ class TestJson:
 
 def generic_json(p):
     """The JSON export through json.dumps, built from CellLabels."""
+    labels = enumerate_labels(p.d, p.n, p.kind)
     return json.dumps({
         "d": p.d, "n": p.n, "kind": p.kind,
         "elements": [{"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
-                     for lab, dim in zip(support.poset_labels(p), p.dims.tolist())],
+                     for lab, dim in zip(labels, p.dims.tolist())],
         "covers": [list(pair) for pair in p.covers.tolist()]}, indent=2) + "\n"
 
 

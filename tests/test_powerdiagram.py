@@ -78,6 +78,12 @@ class TestSitesWeights:
         for gap in (5e-13, 2e-12):
             pair = np.vstack([centre, centre + gap])
             sets.append(np.vstack([np.tile(pair, (100, 1)), rng.random((20, 2))]))
+        # one float step onto 2^13 (2^-40) and onto 2^14 (2^-39), along y
+        # and along x, where the grid cell of a coordinate changes form
+        for edge in (2.0**13, 2.0**14):
+            below = np.nextafter(edge, 0.0)
+            sets.append([(0.5, below), (0.5, edge), *rng.random((20, 2))])
+            sets.append([(-below, 0.5), (-edge, 0.5), *rng.random((20, 2))])
         # steps within a few ulp of 1e-12, along x, along y and diagonally
         steps = 1e-12 * (1.0 + np.arange(-4, 5) * 2e-16)
         for direction in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
@@ -361,7 +367,7 @@ class TestSkippedClips:
         rng = np.random.default_rng(360)
         poly = support.random_convex_polygon(rng)
         one = self.assert_exact(poly, ((0.3, 0.4),))
-        assert ConvexPolygon(one.cells[0]) == poly
+        assert one.cells[0] == poly.vertices
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)))
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (0.05, -0.05))
         self.assert_exact(poly, ((0.3, 0.4), (0.6, 0.5)), (3.0, -3.0))
