@@ -51,6 +51,7 @@ from equicell import cli  # noqa: E402
 
 SEED = 20121
 COSTLY_SEED = 20122   # the costlier equalize inputs at the end of the corpus
+TINY_TOL_SEED = 20123   # the weights inputs with tol far below the size, after them
 TIMEOUT_S = 60
 EQUALIZE_SOLVE_TOL = 1e-11   # the tol of every weight solve in the search
 ROUNDING = 1e-13             # slack, relative to A, for the area check
@@ -193,6 +194,16 @@ def _costly_equalize_case(rng: random.Random, i: int) -> Case:
     case = _equipart("equalize-%d-%s-n%d" % (i, kind, n), doc, (), poly,
                      EQUALIZE_SOLVE_TOL)
     return _with_output(rng, case)
+
+
+def _tiny_tol_case(rng: random.Random, i: int, scale: float, tol: float) -> Case:
+    # 40 interior sites with a tol at or below what the shares' rounding
+    # allows: 1e-15 converges, and 1e-17 and 1e-30 end at exit 1 with the
+    # unconverged result written
+    base = _convex(rng, rng.randint(3, 9), scale, 0.0)
+    doc = {"mode": "weights", "polygon": base, "sites": _inside(rng, base, 40), "tol": tol}
+    return _equipart("weights-%d-scale%g-tol%g" % (i, scale, tol), doc,
+                     ["--output", "{dir}/out.json"], base, tol)
 
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
@@ -350,7 +361,9 @@ def corpus(seed: int = SEED) -> list:
     """The fixed corpus: interleaved random cases of every kind with the
     hand-written bad `equipart` inputs and flags among them, then costlier
     `equalize` searches drawn from their own seed, so that adding them
-    changed none of the inputs before."""
+    changed none of the inputs before, a named past failure, the outputs
+    that cannot be written, and `weights` inputs whose tol is far below the
+    polygon's size, again from their own seed."""
     rng = random.Random(seed)
     makers = (_weights_case, _weights_case, _weights_case, _equalize_case,
               _label_case, _label_case, _complex_case, _obstruction_case)
@@ -369,7 +382,12 @@ def corpus(seed: int = SEED) -> list:
     cases.append(_equipart("equalize-far-square-n5", {
         "mode": "equalize", "polygon": far, "n": 5, "seed": 0, "tol": 1e-6},
         (), far, EQUALIZE_SOLVE_TOL))
-    return cases + _unwritable_cases()
+    cases += _unwritable_cases()
+    tiny = random.Random(TINY_TOL_SEED)
+    for scale in (1.0, 1e6):
+        for tol in (1e-15, 1e-17, 1e-30):
+            cases.append(_tiny_tol_case(tiny, len(cases), scale, tol))
+    return cases
 
 
 class _Timeout(Exception):

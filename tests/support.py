@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: poset property checks, random convex
 polygon generation, rigid-motion utilities, the all-pairs power diagram
-that the clip-skipping build must reproduce bit for bit, the index-order
-build that it must agree with to rounding, and the forward witness
+that the clip-skipping build must reproduce bit for bit, with the full
+per-row threshold sort (`reach_rows`) that its partial rows must match, the
+index-order build that it must agree with to rounding, and the forward witness
 construction that the backward pass must reproduce.
 
 It also holds scalar oracles for the cell complex, written apart from the
@@ -29,7 +30,8 @@ from equicell.geometry import (AREA_EPS, _merge_close, clip_tagged, polygon_area
                                polygon_perimeter)
 from equicell.obstruction import _extended_gcd
 from equicell.poset import boundary, cond_rows, face_matrix, gov_rows
-from equicell.powerdiagram import _as_site_tuple, _reach_rows
+from equicell import powerdiagram
+from equicell.powerdiagram import _as_site_tuple
 
 
 def as_tuples(arr):
@@ -369,13 +371,44 @@ def clip_every_time(pts, tags, a, c, new_tag):
     return out_p, out_t
 
 
+def reach_rows(pts, wvals):
+    """Yield per site i the sites j in the order the build clips them, with
+    their skip thresholds: the full rows the build's heads and tails must
+    reproduce.  Per 32 rows of the threshold matrix, computed with the
+    build's formula, a stable argsort orders each whole row by threshold,
+    ties by index; t_i is +inf and a NaN threshold becomes -inf.  Below
+    powerdiagram.SKIP_FROM sites the row is the other sites in index order,
+    each with threshold -inf."""
+    m = len(pts)
+    if m < powerdiagram.SKIP_FROM:
+        for i in range(m):
+            yield [*range(i), *range(i + 1, m)], [-np.inf] * (m - 1)
+        return
+    xy = np.array(pts)
+    x, y = xy[:, 0], xy[:, 1]
+    w = np.array(wvals)
+    with np.errstate(all="ignore"):
+        own = x * x + y * y + np.abs(w)
+    for lo in range(0, m, 32):
+        blk = slice(lo, lo + 32)
+        bx, by = x[blk, None], y[blk, None]
+        with np.errstate(all="ignore"):
+            d2 = (x - bx) ** 2 + (y - by) ** 2
+            margin = powerdiagram.SKIP_MARGIN * (d2 + own[blk, None] + own)
+            num = d2 - (w - w[blk, None]) - margin
+            den = 2.0 * np.sqrt(d2)
+            reach = np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0.0)
+        reach[np.isnan(reach)] = -np.inf
+        order = np.argsort(reach, axis=1, kind="stable")
+        yield from zip(order.tolist(), np.take_along_axis(reach, order, 1).tolist())
+
+
 def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     """The diagram whose cell i is clip_cell(i, order, reach, start, r,
     halfplane), as (points, tags), measured with the geometry module's own
-    functions.  order and reach are cell i's row of
-    powerdiagram._reach_rows, start is the polygon with its edge tags,
-    r(points) is the largest distance from site i to a point, and
-    halfplane(j) gives the (a, c) that the build clips with against site j.
+    functions.  order and reach are cell i's row of reach_rows, start is the
+    polygon with its edge tags, r(points) is the largest distance from site
+    i to a point, and halfplane(j) gives the (a, c) that the build clips with against site j.
     Like the build, it clips in the frame of the polygon's first vertex and
     keeps the outlines there; each cell, moved back, must pass ConvexPolygon's
     validation unchanged."""
@@ -389,7 +422,7 @@ def _reference_diagram(polygon, sites, weights, clip_cell) -> PowerDiagram:
     areas = []
     perims = []
     edge_tags = []
-    for i, (order, reach) in enumerate(_reach_rows(pts, wvals)):
+    for i, (order, reach) in enumerate(reach_rows(pts, wvals)):
         xi, yi = pts[i]
         qi = xi * xi + yi * yi
 

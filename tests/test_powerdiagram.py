@@ -374,7 +374,10 @@ class TestSkippedClips:
 
     def test_clips_scale_with_neighbours(self, monkeypatch):
         # a finished cell has about 6 walls; in threshold order the clips
-        # stop soon after them, with no weights and with solved weights
+        # stop soon after them, with no weights and with solved weights.
+        # Lockstep rounds call no clip_tagged, so the cells are clipped one
+        # by one, which visits the same (cell, site) pairs
+        monkeypatch.setattr(powerdiagram, "LOCKSTEP_FROM", 10**9)
         calls = []
         clip = powerdiagram.clip_tagged
 
@@ -420,6 +423,112 @@ class TestSkippedClips:
         diagram = self.assert_exact(poly, sites)
         assert diagram.cells[-1] is None
         assert sum(diagram.areas) == pytest.approx(poly.area, rel=1e-12)
+
+
+class TestLockstep:
+    """Lockstep rounds cut every live cell with clip_tagged's operations in
+    its order, so with the crossover at one site every diagram from
+    SKIP_FROM sites on is built in lockstep and must still equal the
+    all-pairs reference bit for bit.  A head of 2 sends nearly every cell
+    past its head to the scalar loop with its tail; an unbounded head keeps
+    the cells in lockstep to the end of their rows.  Below SKIP_FROM every
+    diagram takes the scalar loop."""
+
+    @pytest.fixture(params=[2, 10**6], autouse=True)
+    def lockstep(self, request, monkeypatch):
+        monkeypatch.setattr(powerdiagram, "LOCKSTEP_FROM", 1)
+        monkeypatch.setattr(powerdiagram, "HEAD", request.param)
+
+    def assert_exact(self, poly, sites, weights=None):
+        got = power_diagram(poly, sites, weights)
+        assert repr(got) == repr(support.all_pairs_power_diagram(poly, sites, weights))
+        return got
+
+    def test_sizes_around_skip_from(self):
+        rng = np.random.default_rng(410)
+        for n in (5, powerdiagram.SKIP_FROM - 1, powerdiagram.SKIP_FROM, 40):
+            poly = support.random_convex_polygon(rng, offset=(1e3, -2e3))
+            sites = support.random_sites_inside(rng, poly, n)
+            w = rng.normal(scale=0.2 * poly.area / n, size=n)
+            self.assert_exact(poly, sites)
+            self.assert_exact(poly, sites, tuple(w - w.mean()))
+
+    def test_degenerate_site_sets(self):
+        rng = np.random.default_rng(411)
+        poly = support.random_convex_polygon(rng)
+        for sites in threshold_order_sites(rng, poly, 24):
+            self.assert_exact(poly, sites)
+
+    def test_lattice_with_exact_ties(self):
+        w = np.random.default_rng(412).normal(scale=0.2 / 64, size=64)
+        self.assert_exact(SQUARE, lattice(8))
+        self.assert_exact(SQUARE, lattice(8, transpose=True), tuple(w - w.mean()))
+
+    def test_merge_rows(self, monkeypatch):
+        # cuts near sites 2e-12 and 1e-11 apart put vertices within
+        # MERGE_EPS of each other.  With unbounded heads and finite inputs
+        # only such a row leaves lockstep for the scalar loop
+        handed = []
+        clip_cell = powerdiagram._clip_cell
+
+        def counted(pts, wvals, i, *cell_and_row):
+            handed.append(i)
+            return clip_cell(pts, wvals, i, *cell_and_row)
+
+        monkeypatch.setattr(powerdiagram, "_clip_cell", counted)
+        rng = np.random.default_rng(413)
+        poly = support.random_convex_polygon(rng)
+        base = support.random_sites_inside(rng, poly, 8)
+        w = tuple(rng.normal(scale=0.5, size=16))
+        for gap in (2e-12, 1e-11):
+            sites = tuple(q for x, y in base for q in ((x, y), (x + gap, y)))
+            self.assert_exact(poly, sites)
+            self.assert_exact(poly, sites, w)
+        assert handed
+
+    def test_non_finite_thresholds_and_sides(self):
+        # huge weights and a site at 1e155 give NaN thresholds and infinite
+        # side values.  A site at 1.5e308 overflows x_j - x_i, so against it
+        # the polygon's first vertex, at the origin of the build's frame, has
+        # a NaN side value, on which clip_tagged's max and a numpy test of
+        # the side values disagree: such a row is left to clip_tagged
+        rng = np.random.default_rng(414)
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, 20)
+        huge = tuple(1e308 * s for s in rng.choice((-1.0, 1.0), size=20))
+        diagram = self.assert_exact(poly, sites, huge)
+        assert any(c is None for c in diagram.cells)
+        diagram = self.assert_exact(poly, sites + ((1e155, 0.3),))
+        assert diagram.cells[-1] is None
+        kite = ConvexPolygon(((0.0, 0.0), (1.0, 0.2), (0.4, 1.0), (-0.6, 0.7)))
+        sites = support.random_sites_inside(rng, kite, 20)
+        for far in ((1.5e308, 0.3), (0.3, -1.5e308)):
+            self.assert_exact(kite, sites + (far,))
+
+    def test_empty_cells(self):
+        rng = np.random.default_rng(415)
+        poly = support.random_convex_polygon(rng)
+        sites = support.random_sites_inside(rng, poly, 30)
+        diagram = self.assert_exact(poly, sites, tuple(rng.normal(scale=0.2, size=30)))
+        assert any(c is None for c in diagram.cells)
+
+    def test_cells_outgrow_the_polygon_and_their_heads(self, monkeypatch):
+        # a triangle's inner cells have up to 7 vertices, and solved
+        # weights leave cells that need more clips than a head of 2 holds
+        tails = []
+        rows_tails = powerdiagram._Rows.tails
+
+        def counted(rows, which):
+            tails.extend(which)
+            return rows_tails(rows, which)
+
+        monkeypatch.setattr(powerdiagram._Rows, "tails", counted)
+        rng = np.random.default_rng(416)
+        sites = support.random_sites_inside(rng, support.UNIT_TRIANGLE, 30)
+        solved, _ = solve_equal_measure_weights(support.UNIT_TRIANGLE, sites)
+        diagram = self.assert_exact(support.UNIT_TRIANGLE, sites, solved.weights)
+        assert max(map(len, diagram.outlines)) > 3
+        assert tails or powerdiagram.HEAD > len(sites)
 
 
 def lattice(k, transpose=False):
