@@ -195,9 +195,11 @@ class _Rows:
             cols = np.broadcast_to(np.arange(m), t.shape)  # k = m: whole rows
             if k < m:
                 kth = np.partition(t, k - 1, axis=1)[:, k - 1:k]
-                less, tie = t < kth, t == kth
-                # ties at the k-th threshold join the head in index order
-                head = less | tie & (np.cumsum(tie, 1) <= k - less.sum(1, keepdims=True))
+                head = t <= kth
+                extra = head.sum(1, keepdims=True) - k
+                if extra.any():  # ties at the k-th threshold join in index order
+                    tie = t == kth
+                    head &= ~tie | (np.cumsum(tie, 1) <= tie.sum(1, keepdims=True) - extra)
                 cols = np.flatnonzero(head).reshape(-1, k) % m
                 t = np.take_along_axis(t, cols, 1)
             by = np.argsort(t, axis=1, kind="stable")
@@ -317,6 +319,8 @@ def _lockstep(rows, base_pts, base_tags, cells):
     def leave(out, k):  # out: 0 stays, 1 finished, 2 left to _clip_cell at k
         ids, X, Y, T, cnt, _ = state
         go = np.flatnonzero(out)
+        if not len(go):
+            return state
         for i, o, n, x, y, t in zip(ids[go].tolist(), out[go].tolist(), cnt[go].tolist(),
                                     X[go].tolist(), Y[go].tolist(), T[go].tolist()):
             cell = list(zip(x[:n], y[:n])), t[:n]

@@ -439,10 +439,7 @@ class TestLockstep:
         monkeypatch.setattr(powerdiagram, "LOCKSTEP_FROM", 1)
         monkeypatch.setattr(powerdiagram, "HEAD", request.param)
 
-    def assert_exact(self, poly, sites, weights=None):
-        got = power_diagram(poly, sites, weights)
-        assert repr(got) == repr(support.all_pairs_power_diagram(poly, sites, weights))
-        return got
+    assert_exact = TestSkippedClips.assert_exact
 
     def test_sizes_around_skip_from(self):
         rng = np.random.default_rng(410)
@@ -513,8 +510,9 @@ class TestLockstep:
         assert any(c is None for c in diagram.cells)
 
     def test_cells_outgrow_the_polygon_and_their_heads(self, monkeypatch):
-        # a triangle's inner cells have up to 7 vertices, and solved
-        # weights leave cells that need more clips than a head of 2 holds
+        # cells of a triangle outgrow its 3 vertices, the arrays' first
+        # width, and solved weights leave cells that need more clips than a
+        # head of 2 holds
         tails = []
         rows_tails = powerdiagram._Rows.tails
 
