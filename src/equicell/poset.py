@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -413,12 +414,69 @@ def euler_characteristic(d: int, n: int) -> int:
 
 
 def _filled(template: str, sep: str, rows: np.ndarray, chunk: int = 4096):
-    """Text of `template` filled from each int row and joined by sep, in
-    chunks of up to `chunk` rows."""
+    """Text of `template`, whose only % directives are %d fields, filled
+    from each row of non-negative ints and joined by sep, in chunks of up to
+    `chunk` rows: the text of `sep.join([template] * len(rows)) %
+    tuple(rows.ravel())`.
+
+    The bytes are laid out in numpy.  One row is laid out once, sep first,
+    with each %d field NUL-filled to its column's widest value; each chunk
+    tiles that row and writes every value right-aligned into its field from
+    a digit table, in which leading zeros are NUL and 0 is written 0.  A
+    value wider than 4 digits is written in base-10^4 groups: a group below
+    a nonzero one is zero-padded, a group above the value all NUL.  Each
+    chunk's bytes, stripped of NULs, are its text.  A negative entry is a
+    ValueError.
+    """
+    if not len(rows):
+        return
+    if rows.min() < 0:
+        raise ValueError("cannot write negative entries")
+    widths = [len(str(col.max())) for col in rows.T]  # max(axis=0) is slow on few columns
+    pieces, sep = template.encode().split(b"%d"), sep.encode()
+    unit, starts = bytearray(sep), []
+    for piece, w in zip(pieces, widths):
+        unit += piece
+        starts.append(len(unit))
+        unit += bytes(w)
+    unit = np.frombuffer(bytes(unit + pieces[-1]), dtype=np.uint8)
+    fields = []  # (width, its columns, their byte positions in a row)
+    for w in set(widths):
+        cols = np.flatnonzero(np.equal(widths, w))
+        fields.append((w, cols, (np.array(starts)[cols, None] + np.arange(w)).ravel()))
     for s in range(0, len(rows), chunk):
         part = rows[s:s + chunk]
-        yield (sep if s else "") + sep.join([template] * len(part)) % tuple(
-            part.ravel().tolist())
+        out = np.tile(unit, (len(part), 1))
+        for w, cols, at in fields:
+            out[:, at] = _digits(part[:, cols], w).reshape(len(part), -1)
+        yield out.ravel()[0 if s else len(sep):].tobytes().translate(None, b"\0").decode()
+
+
+@cache
+def _digit_table() -> np.ndarray:
+    # (10^4, 4) ASCII digits of 0..9999 right-aligned, leading zeros NUL
+    v = np.arange(10_000)[:, None]
+    return np.where(v < [1000, 100, 10, 0], 0, v // [1000, 100, 10, 1] % 10 + 48
+                    ).astype(np.uint8)
+
+
+def _digits(v: np.ndarray, w: int) -> np.ndarray:
+    """The non-negative ints v, none of more than w digits, as ASCII digits
+    right-aligned in w bytes, NUL before them; shape v.shape + (w,)."""
+    table = _digit_table()
+    if w <= 4:
+        return table.take(v, axis=0)[..., 4 - w:]
+    # base-10^4 groups, low first, each 4 table bytes read as one word
+    words, groups, rest = table.view(np.uint32)[:, 0], [], v
+    while len(groups) * 4 < w:
+        high = rest // 10_000
+        g = words.take(rest - high * 10_000)
+        g |= (high > 0) * np.uint32(0x30303030)  # zero-padded below a nonzero group
+        if groups:
+            g *= rest > 0                         # all NUL above the value
+        groups.insert(0, g)
+        rest = high
+    return np.stack(groups, axis=-1).view(np.uint8)[..., -w:]
 
 
 def _json_ints(k: int, pad: int) -> str:

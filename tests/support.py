@@ -11,6 +11,8 @@ criterion one label pair at a time; `facet_incidence_vector`, a facet's
 ridge classes read off stored poset covers, each class by
 `ridge_orbit_index`, the position of the ridge's one lowered separator;
 and `ridge_cells`, the ridges picked out of all enumerated labels.
+`percent_filled` is the poset export's row writer formatted with `%`, one
+integer at a time.
 
 The all-facet oracles check the S_n-orbit argument behind the library's
 one-facet incidence: `top_cells` lists all n! facets,
@@ -150,6 +152,15 @@ def facet_incidence_vector(facet, poset):
     for row in poset.labels[poset.covers[lower, 0]].tolist():
         counts[ridge_orbit_index(CellLabel(row[:n], row[n:], facet.d)) - 1] += 1
     return tuple(counts)
+
+
+def percent_filled(template, sep, rows, chunk=4096):
+    """The poset writer's text formatted with %: `template` filled from
+    each int row and joined by sep, in chunks of up to `chunk` rows."""
+    for s in range(0, len(rows), chunk):
+        part = rows[s:s + chunk]
+        yield (sep if s else "") + sep.join([template] * len(part)) % tuple(
+            part.ravel().tolist())
 
 
 def check_partial_order(poset, sample_rng=None):

@@ -17,8 +17,9 @@ from equicell import (BudgetExceededError, CellLabel,
                       separator_min, stratum_dimension, validate_covers)
 from equicell import poset as poset_module
 from equicell import cli
-from equicell.poset import (_cover_count, _leq, boundary, cond_rows, face_matrix,
-                            gov_rows, label_count, poset_csv_chunks, poset_json_chunks)
+from equicell.poset import (FacePoset, _cover_count, _filled, _leq, boundary, cond_rows,
+                            face_matrix, gov_rows, label_count, poset_csv_chunks,
+                            poset_json_chunks)
 
 BIG = CellLabel((3, 8, 1, 4, 7, 6, 5, 2), (2, 1, 2, 1, 1, 2, 2), 2)
 BIG_FINER = CellLabel((3, 1, 8, 4, 7, 6, 5, 2), (2, 2, 2, 1, 1, 2, 2), 2)
@@ -569,3 +570,78 @@ class TestColumnar:
         assert target.read_text() == "old"
         assert [f.name for f in tmp_path.iterdir()] == ["poset.json"]
         assert capsys.readouterr().out == ""
+
+
+EDGE_VALUES = [0, 9, 10, 99, 100, 9_999, 10_000, 99_999_999, 10 ** 8, 2 ** 40]
+
+
+class TestTextWriter:
+    """The numpy row writer against `support.percent_filled`, which formats
+    one integer at a time with %."""
+
+    @pytest.mark.parametrize("template,sep", [
+        ("[%d, %d] %d;%d", ",\n"),     # fields inside the row
+        ("%d%d-%d%d", "\n"),           # adjacent fields
+        ("%d: %d, %d, %d", " | "),      # a leading field
+        ("x=%d y=%d z=%d w=%d", "<>\n"),  # a trailing field, a multi-character sep
+    ])
+    @pytest.mark.parametrize("count", [1, 4, 5, 6])
+    def test_matches_percent_formatting(self, template, sep, count):
+        # columns of different widths: small ints, every edge value, a
+        # single-digit column and one that reaches 2^40, cut into chunks of 5
+        rng = np.random.default_rng(count)
+        rows = np.column_stack([
+            rng.integers(0, 12, count),
+            rng.choice(EDGE_VALUES, count),
+            np.full(count, 7),
+            rng.integers(0, 2 ** 40, count)]).astype(np.int64)
+        got = list(_filled(template, sep, rows, chunk=5))
+        assert got == list(support.percent_filled(template, sep, rows, chunk=5))
+        assert len(got) == -(-count // 5)
+
+    def test_every_edge_value_in_every_field_width(self):
+        # each value alone in a column, and beside a wider one in the same
+        # column, so each is written in a field wider than itself too
+        for v in EDGE_VALUES:
+            for rows in ([[v]], [[v], [2 ** 40]], [[v], [10 ** 8]], [[v], [10 ** 4]]):
+                rows = np.array(rows, dtype=np.int64)
+                got = "".join(_filled("(%d)", ",", rows, chunk=1))
+                assert got == ",".join("(%d)" % r for r in rows[:, 0].tolist())
+
+    def test_no_rows_writes_nothing(self):
+        assert list(_filled("%d", ",", np.zeros((0, 1), dtype=np.int64))) == []
+
+    def test_negative_entry_refused(self):
+        rows = np.array([[3, 4], [5, -1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="negative"):
+            list(_filled("%d,%d", "\n", rows))
+
+
+def two_digit_poset():
+    """A FacePoset with n = 11 (two-digit letters), dims of 10 and more,
+    and cover indices of 5 to 7 digits: no build reaches these at the
+    sizes the suite can afford."""
+    rng = np.random.default_rng(11)
+    sigma = np.array([rng.permutation(11) + 1 for _ in range(6)])
+    seps = rng.integers(1, 4, size=(6, 10))
+    return FacePoset(kind=KIND_COMPLEMENT, d=3, n=11,
+                     labels=np.concatenate([sigma, seps], axis=1).astype(np.uint8),
+                     dims=np.array([0, 9, 10, 11, 19, 20], dtype=np.int64),
+                     covers=np.array([[0, 10_000], [99_999, 100_000], [7, 1_234_567]],
+                                     dtype=np.int64))
+
+
+@pytest.mark.parametrize("filled", [_filled, support.percent_filled],
+                         ids=["numpy", "percent"])
+def test_two_digit_letters(monkeypatch, filled):
+    monkeypatch.setattr(poset_module, "_filled", filled)
+    p = two_digit_poset()
+    labels = [CellLabel(r[:11], r[11:], p.d) for r in p.labels.tolist()]
+    assert "".join(poset_json_chunks(p)) == json.dumps({
+        "d": 3, "n": 11, "kind": KIND_COMPLEMENT,
+        "elements": [{"sigma": list(lab.sigma), "seps": list(lab.seps), "dim": dim}
+                     for lab, dim in zip(labels, p.dims.tolist())],
+        "covers": p.covers.tolist()}, indent=2) + "\n"
+    rows = ["%d,%d,%s" % (i, dim, lab.to_string())
+            for i, (lab, dim) in enumerate(zip(labels, p.dims.tolist()))]
+    assert "".join(poset_csv_chunks(p)) == "\n".join(["index,dim,label"] + rows) + "\n"
